@@ -8,7 +8,7 @@ GO ?= go
 # PR names the committed perf-baseline label: bench-baseline writes
 # BENCH_$(PR).json and bench-diff/bench-gate read it. Override per PR
 # line (make bench-baseline PR=PR9) instead of hand-editing the recipes.
-PR ?= PR7
+PR ?= PR14
 BASELINE = BENCH_$(PR).json
 
 # -cpu 4 pins the GOMAXPROCS≥4 regime the contention benchmarks target;
@@ -26,11 +26,14 @@ BASELINE = BENCH_$(PR).json
 # native STAMP-shaped trio — E13 graph routing (write-set promotion),
 # E14 clustering (contended point RMWs), E15 pipeline (stm.Queue
 # blocking handoff); benchdiff ignores names absent from an older
-# baseline.
-E8_BENCH = BenchmarkE8|BenchmarkE9Native|BenchmarkE10Native|BenchmarkE11Native|BenchmarkE12Hostile|BenchmarkE13GraphRouting|BenchmarkE14Clustering|BenchmarkE15Pipeline|BenchmarkROFastPath|BenchmarkVarContended|BenchmarkContentionSweep|BenchmarkMapDisjointPut|BenchmarkMapMixed|BenchmarkOrderedMap
+# baseline. The two router cells (BenchmarkRouterBatch, BenchmarkRouterScan
+# in internal/server) enter the serving tier below the codec: a 16-op
+# cross-shard transfer batch and a 100-entry scan page, on both engines.
+E8_BENCH = BenchmarkE8|BenchmarkE9Native|BenchmarkE10Native|BenchmarkE11Native|BenchmarkE12Hostile|BenchmarkE13GraphRouting|BenchmarkE14Clustering|BenchmarkE15Pipeline|BenchmarkROFastPath|BenchmarkVarContended|BenchmarkContentionSweep|BenchmarkMapDisjointPut|BenchmarkMapMixed|BenchmarkOrderedMap|BenchmarkRouter
 # -benchmem records B/op and allocs/op in every baseline — the input the
 # bench-gate zero-allocation assertion reads.
 E8_FLAGS = -run '^$$' -bench '$(E8_BENCH)' -benchtime 0.2s -count 8 -cpu 4 -benchmem -timeout 30m
+E8_PKGS = . ./stm ./internal/server
 
 # ZEROALLOC names the steady-state cells that must never allocate: the
 # single-writer mvstm snapshot cells of the E11 HTAP scan (pooled version
@@ -44,7 +47,7 @@ E8_FLAGS = -run '^$$' -bench '$(E8_BENCH)' -benchtime 0.2s -count 8 -cpu 4 -benc
 # pressure).
 ZEROALLOC = E11NativeScan/.*writers=1/engine=mvstm|BenchmarkROFastPath
 
-.PHONY: test race server-test bench-e8 bench-baseline bench-diff bench-gate bench-scaling fuzz-smoke overhead-smoke docs-check
+.PHONY: test race server-test bench-smoke bench-e8 bench-baseline bench-diff bench-gate bench-scaling fuzz-smoke overhead-smoke docs-check
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -62,23 +65,33 @@ server-test:
 	$(GO) run ./cmd/tmload -smoke
 	$(GO) run ./cmd/tmload -smoke -engine mvstm
 
+# bench-smoke checks the repository benchmark's harness (bench/ is a
+# module of its own, so the root module's build and tests do not see it):
+# vet, its unit tests, and a tiny-sized run of all five workloads with
+# every reply verified. It measures nothing; the measured run is
+# `go run -C bench .` (see bench/README.md).
+bench-smoke:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
+	$(GO) run -C bench . -smoke
+
 # bench-e8 runs the E8 suite once and leaves the raw output in
 # bench_e8.txt (also the input format benchdiff accepts as -new).
 bench-e8:
-	$(GO) test $(E8_FLAGS) . ./stm | tee bench_e8.txt
+	$(GO) test $(E8_FLAGS) $(E8_PKGS) | tee bench_e8.txt
 
 # bench-baseline records the committed perf baseline for this PR line:
 # re-runs the E8 suite and regenerates BENCH_$(PR).json. Commit the
 # result so later PRs have a trajectory to compare against.
 bench-baseline:
-	$(GO) test $(E8_FLAGS) . ./stm | tee bench_e8.txt
+	$(GO) test $(E8_FLAGS) $(E8_PKGS) | tee bench_e8.txt
 	$(GO) run ./cmd/benchjson -in bench_e8.txt -label $(PR) \
-	  -command "go test $(E8_FLAGS) . ./stm" -out $(BASELINE)
+	  -command "go test $(E8_FLAGS) $(E8_PKGS)" -out $(BASELINE)
 
 # bench-diff compares a fresh E8 run against the committed baseline;
 # report-only (never fails on a regression).
 bench-diff:
-	$(GO) test $(E8_FLAGS) . ./stm > bench_new.txt
+	$(GO) test $(E8_FLAGS) $(E8_PKGS) > bench_new.txt
 	$(GO) run ./cmd/benchdiff -baseline $(BASELINE) -new bench_new.txt
 
 # bench-gate is the enforcing variant: passing -threshold makes benchdiff
@@ -94,7 +107,7 @@ bench-diff:
 # runners make wall-clock deltas noise (the allocation assertion, by
 # contrast, is hardware-free).
 bench-gate:
-	$(GO) test $(E8_FLAGS) . ./stm > bench_new.txt
+	$(GO) test $(E8_FLAGS) $(E8_PKGS) > bench_new.txt
 	$(GO) run ./cmd/benchdiff -baseline $(BASELINE) -new bench_new.txt \
 	  -threshold 0.25 -zeroalloc '$(ZEROALLOC)'
 

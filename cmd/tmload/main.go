@@ -10,9 +10,9 @@
 //	tmload -url http://host:8080 -clients 64
 //	tmload -smoke                      # CI-sized run
 //	tmload -smoke -json BENCH_load.json  # also record a benchfmt baseline
-//	tmload -url http://host:8080 -batch 16 -affine -zipf 1.4
-//	                                   # contention shape: fat single-shard
-//	                                   # RMW transactions on hot keys
+//	tmload -url http://host:8080 -batch 16 -zipf 1.4
+//	                                   # contention shape: fat RMW
+//	                                   # transactions on hot keys
 package main
 
 import (
@@ -48,7 +48,6 @@ type config struct {
 	scanLen int     // keys per scan
 	zipf    float64 // Zipf s parameter (>1); popularity skew of point reads
 	batch   int     // keys per transfer batch (paired ±1 add ops)
-	affine  bool    // confine each transfer batch to a single shard
 	preload int     // puts per preload batch
 	seed    int64
 	jsonOut string // non-empty: also write a benchfmt baseline here ("-" = stdout)
@@ -67,7 +66,6 @@ func main() {
 		scanLen = flag.Int("scanlen", 100, "keys per scan")
 		zipf    = flag.Float64("zipf", 1.1, "Zipf s parameter for key popularity")
 		batch   = flag.Int("batch", 2, "keys per transfer batch (read-modify-write adds, paired -1/+1)")
-		affine  = flag.Bool("affine", false, "confine each transfer batch to one shard: native-transaction contention instead of cross-shard 2PL")
 		seed    = flag.Int64("seed", 1, "workload RNG seed")
 		smoke   = flag.Bool("smoke", false, "tiny CI-sized run (overrides sizes)")
 		jsonOut = flag.String("json", "", "also write results as a BENCH_*.json-compatible baseline to this path (\"-\" = stdout)")
@@ -84,7 +82,6 @@ func main() {
 		scanLen: *scanLen,
 		zipf:    *zipf,
 		batch:   *batch,
-		affine:  *affine,
 		preload: 500,
 		seed:    *seed,
 		jsonOut: *jsonOut,
@@ -125,9 +122,9 @@ func runLoad(cfg config, out io.Writer) error {
 	if cfg.batch < 2 {
 		cfg.batch = 2 // a transfer needs at least a debit and a credit
 	}
-	fmt.Fprintf(out, "tmload: engine=%s clients=%d keys=%d ops=%d mix=%.0f%%get/%.0f%%scan/%.0f%%batch zipf=%.2f batch=%d affine=%v\n",
+	fmt.Fprintf(out, "tmload: engine=%s clients=%d keys=%d ops=%d mix=%.0f%%get/%.0f%%scan/%.0f%%batch zipf=%.2f batch=%d\n",
 		cfg.engine, cfg.clients, cfg.keys, cfg.ops,
-		100*cfg.read, 100*cfg.scan, 100*(1-cfg.read-cfg.scan), cfg.zipf, cfg.batch, cfg.affine)
+		100*cfg.read, 100*cfg.scan, 100*(1-cfg.read-cfg.scan), cfg.zipf, cfg.batch)
 	fmt.Fprintf(out, "%-10s %12s %10s %10s %10s %8s\n", "shards", "ops/s", "p50(µs)", "p95(µs)", "p99(µs)", "errors")
 
 	emit := func(r row) {
@@ -137,7 +134,7 @@ func runLoad(cfg config, out io.Writer) error {
 
 	var rows []row
 	if cfg.url != "" {
-		r, err := runOne(cfg.url, "remote", cfg, 0)
+		r, err := runOne(cfg.url, "remote", cfg)
 		if err != nil {
 			return err
 		}
@@ -150,7 +147,7 @@ func runLoad(cfg config, out io.Writer) error {
 				return err
 			}
 			ts := httptest.NewServer(srv.Handler())
-			r, err := runOne(ts.URL, strconv.Itoa(n), cfg, n)
+			r, err := runOne(ts.URL, strconv.Itoa(n), cfg)
 			ts.Close()
 			if err != nil {
 				return err
@@ -204,29 +201,13 @@ func writeBaseline(cfg config, rows []row, out io.Writer) error {
 	return os.WriteFile(cfg.jsonOut, data, 0o644)
 }
 
-// runOne preloads the keyspace and drives one closed-loop run. shardN is
-// the server's shard count when the caller knows it (in-process mode);
-// pass 0 to discover it from /stats (only done when -affine needs it).
-func runOne(base, label string, cfg config, shardN int) (row, error) {
+// runOne preloads the keyspace and drives one closed-loop run.
+func runOne(base, label string, cfg config) (row, error) {
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        cfg.clients * 2,
 		MaxIdleConnsPerHost: cfg.clients * 2,
 	}}
 	defer client.CloseIdleConnections()
-
-	var pools [][]uint64
-	if cfg.affine {
-		if shardN == 0 {
-			n, err := fetchShards(base, client)
-			if err != nil {
-				return row{}, fmt.Errorf("-affine: %w", err)
-			}
-			shardN = n
-		}
-		if shardN > 1 {
-			pools = buildAffinity(cfg.keys, shardN)
-		}
-	}
 
 	if err := preload(base, client, cfg); err != nil {
 		return row{}, err
@@ -253,7 +234,7 @@ func runOne(base, label string, cfg config, shardN int) (row, error) {
 			res := &results[c]
 			res.lats = make([]time.Duration, 0, share)
 			for i := 0; i < share; i++ {
-				ok, d := issue(base, client, r, zipf, cfg, pools)
+				ok, d := issue(base, client, r, zipf, cfg)
 				res.lats = append(res.lats, d)
 				if !ok {
 					res.errs++
@@ -315,7 +296,7 @@ func preload(base string, client *http.Client, cfg config) error {
 
 // issue sends one operation of the mixed workload, reporting success and
 // latency.
-func issue(base string, client *http.Client, r *rand.Rand, zipf *rand.Zipf, cfg config, pools [][]uint64) (bool, time.Duration) {
+func issue(base string, client *http.Client, r *rand.Rand, zipf *rand.Zipf, cfg config) (bool, time.Duration) {
 	x := r.Float64()
 	start := time.Now()
 	ok := false
@@ -337,7 +318,7 @@ func issue(base string, client *http.Client, r *rand.Rand, zipf *rand.Zipf, cfg 
 			ok = resp.StatusCode == http.StatusOK
 		}
 	default:
-		code, err := postBatch(base, client, transferOps(r, zipf, cfg, pools))
+		code, err := postBatch(base, client, transferOps(zipf, cfg))
 		ok = err == nil && code == http.StatusOK
 	}
 	return ok, time.Since(start)
@@ -346,76 +327,21 @@ func issue(base string, client *http.Client, r *rand.Rand, zipf *rand.Zipf, cfg 
 // transferOps builds one transfer batch: cfg.batch Zipf-chosen keys,
 // each a read-modify-write add, with deltas paired -1/+1 so the batch
 // conserves the keyspace total (an odd trailing op adds 0 — still an
-// RMW). With pools set (-affine against >1 shard), the first Zipf draw
-// picks the shard and the remaining keys are rejection-sampled from that
-// shard's pool, preserving the popularity skew conditioned on the shard;
-// the whole batch then runs as ONE native transaction on that shard,
-// where engine-level conflicts (and the abort taxonomy) live, instead of
-// being serialized under the router's cross-shard 2PL.
-func transferOps(r *rand.Rand, zipf *rand.Zipf, cfg config, pools [][]uint64) []server.Op {
-	idx := make([]uint64, cfg.batch)
-	idx[0] = zipf.Uint64()
-	if pools == nil {
-		for i := 1; i < cfg.batch; i++ {
-			idx[i] = zipf.Uint64()
-		}
-	} else {
-		s := server.ShardOfKey(key(idx[0]), len(pools))
-		for i := 1; i < cfg.batch; i++ {
-			hit := false
-			for t := 0; t < 32; t++ {
-				if v := zipf.Uint64(); server.ShardOfKey(key(v), len(pools)) == s {
-					idx[i], hit = v, true
-					break
-				}
-			}
-			if !hit {
-				idx[i] = pools[s][r.Intn(len(pools[s]))]
-			}
-		}
-	}
-	ops := make([]server.Op, len(idx))
-	for i, k := range idx {
+// RMW). Whichever shards the keys hash to, the batch is one native
+// transaction on the server.
+func transferOps(zipf *rand.Zipf, cfg config) []server.Op {
+	ops := make([]server.Op, cfg.batch)
+	for i := range ops {
 		d := int64(-1)
 		if i%2 == 1 {
 			d = 1
 		}
-		if i == len(idx)-1 && len(idx)%2 == 1 {
+		if i == len(ops)-1 && len(ops)%2 == 1 {
 			d = 0
 		}
-		ops[i] = server.Op{Kind: "add", Key: key(k), Delta: d}
+		ops[i] = server.Op{Kind: "add", Key: key(zipf.Uint64()), Delta: d}
 	}
 	return ops
-}
-
-// buildAffinity groups the key indices by owning shard (the server's
-// FNV-1a partitioning via server.ShardOfKey) for -affine batches.
-func buildAffinity(keys, shards int) [][]uint64 {
-	pools := make([][]uint64, shards)
-	for i := 0; i < keys; i++ {
-		s := server.ShardOfKey(key(uint64(i)), shards)
-		pools[s] = append(pools[s], uint64(i))
-	}
-	return pools
-}
-
-// fetchShards asks a remote server's /stats for its shard count.
-func fetchShards(base string, client *http.Client) (int, error) {
-	resp, err := client.Get(base + "/stats")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var payload struct {
-		Shards int `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
-		return 0, err
-	}
-	if payload.Shards < 1 {
-		return 0, fmt.Errorf("remote /stats reports %d shards", payload.Shards)
-	}
-	return payload.Shards, nil
 }
 
 func postBatch(base string, client *http.Client, ops []server.Op) (int, error) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/benchfmt"
-	"repro/internal/server"
 )
 
 // TestRunLoadSmoke drives the full generator — preload, mixed workload,
@@ -103,9 +102,7 @@ func TestRunLoadJSONBaseline(t *testing.T) {
 
 // TestTransferOps pins the contention-shape contract: every batch has
 // exactly cfg.batch add ops whose deltas sum to zero (the conservation
-// invariant the server tests audit), and in -affine mode every key in a
-// batch lands on the same shard — the property that keeps the batch a
-// single native transaction instead of a 2PL cross-shard one.
+// invariant the server tests audit).
 func TestTransferOps(t *testing.T) {
 	cfg := config{keys: 512, zipf: 1.3}
 	r := rand.New(rand.NewSource(7))
@@ -113,41 +110,20 @@ func TestTransferOps(t *testing.T) {
 
 	for _, batch := range []int{2, 3, 16} {
 		cfg.batch = batch
-		for _, shards := range []int{0, 4} { // 0 = no affinity pools
-			var pools [][]uint64
-			if shards > 0 {
-				pools = buildAffinity(cfg.keys, shards)
-				total := 0
-				for _, p := range pools {
-					total += len(p)
-				}
-				if total != cfg.keys {
-					t.Fatalf("affinity pools cover %d keys, want %d", total, cfg.keys)
-				}
+		for trial := 0; trial < 50; trial++ {
+			ops := transferOps(zipf, cfg)
+			if len(ops) != batch {
+				t.Fatalf("batch=%d: got %d ops", batch, len(ops))
 			}
-			for trial := 0; trial < 50; trial++ {
-				ops := transferOps(r, zipf, cfg, pools)
-				if len(ops) != batch {
-					t.Fatalf("batch=%d: got %d ops", batch, len(ops))
+			sum := int64(0)
+			for _, op := range ops {
+				if op.Kind != "add" {
+					t.Fatalf("op kind %q, want add", op.Kind)
 				}
-				sum := int64(0)
-				for _, op := range ops {
-					if op.Kind != "add" {
-						t.Fatalf("op kind %q, want add", op.Kind)
-					}
-					sum += op.Delta
-				}
-				if sum != 0 {
-					t.Fatalf("batch=%d shards=%d: deltas sum to %d, want 0 (%v)", batch, shards, sum, ops)
-				}
-				if pools != nil {
-					want := server.ShardOfKey(ops[0].Key, shards)
-					for _, op := range ops {
-						if got := server.ShardOfKey(op.Key, shards); got != want {
-							t.Fatalf("affine batch straddles shards %d and %d: %v", want, got, ops)
-						}
-					}
-				}
+				sum += op.Delta
+			}
+			if sum != 0 {
+				t.Fatalf("batch=%d: deltas sum to %d, want 0 (%v)", batch, sum, ops)
 			}
 		}
 	}

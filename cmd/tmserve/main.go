@@ -8,8 +8,8 @@
 // POST /batch (multi-key transactional, atomic across shards),
 // GET /stats, GET /metrics (Prometheus text exposition), GET /healthz,
 // and — only with -pprof — the net/http/pprof handlers under
-// /debug/pprof/. See DESIGN.md for the shard routing, two-phase-locking
-// and observability stories.
+// /debug/pprof/. See DESIGN.md for the shard routing, the
+// one-transaction-per-request argument and the observability story.
 package main
 
 import (

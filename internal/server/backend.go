@@ -1,17 +1,18 @@
 // Package server is the network-facing serving tier over the native
 // engines: an HTTP/JSON key-value API (get/put/delete/scan and a
 // multi-key transactional batch) backed by stm or mvstm containers,
-// with the keyspace sharded across N independent engine instances.
+// with the keyspace hash-partitioned across N shard containers that all
+// live in the engine's one process-wide TM — so every request, however
+// many shards it touches, is exactly one native transaction.
 //
 // The package is layered the way the handlers read:
 //
 //	handlers (handlers.go)      — JSON in/out, one function per endpoint
 //	middlewares (middleware.go) — per-IP rate limiting, panic recovery,
 //	                              per-endpoint latency/error metrics
-//	router (shards.go)          — key→shard hashing, cross-shard
-//	                              two-phase locking in shard-id order
-//	backend (backend_*.go)      — one engine instance per shard behind
-//	                              the Backend interface
+//	router (shards.go)          — the shard count and the key→shard hash
+//	backend (backend_*.go)      — the shard containers and the one
+//	                              transaction each request runs in
 package server
 
 import (
@@ -67,12 +68,13 @@ type Stats struct {
 	RTSAdvances      uint64 `json:"rts_advances,omitempty"`
 }
 
-// Backend is one shard's store: a single engine instance (stm or mvstm)
-// holding a disjoint slice of the keyspace. Get and Scan run on the
-// engine's read-only path; Apply runs every op in ONE native
-// transaction, so a sub-batch routed to a shard is atomic there by
-// construction — the router's job is only to make multi-shard batches
-// atomic across instances.
+// Backend is a store of one or more shard containers inside one engine
+// (stm or mvstm). Get, Scan and Apply are each ONE native transaction —
+// read-only for the first two — whatever number of shards the keys hash
+// to, so a batch is atomic, opaque and failure-atomic by the engine's
+// own commit and a scan is a single consistent snapshot. The standalone
+// backends (NewSTMBackend, NewMVSTMBackend) are the one-shard case of
+// the store the Router serves from.
 type Backend interface {
 	Get(key string) (value string, found bool, err error)
 	Scan(from, to string, limit int) ([]KV, error)
@@ -81,9 +83,23 @@ type Backend interface {
 	Stats() Stats
 }
 
-// ValidateOps rejects unknown op kinds and empty keys before any shard
-// is touched: Apply itself never fails on op content, which is what
-// keeps the shard-ordered commit loop in Router.Batch all-or-nothing.
+// store is a Backend that also reports its key count shard by shard,
+// for /stats and /metrics; Len is the sum.
+type store interface {
+	Backend
+	shardLens() ([]int, error)
+}
+
+func sumLens(lens []int, err error) (int, error) {
+	n := 0
+	for _, l := range lens {
+		n += l
+	}
+	return n, err
+}
+
+// ValidateOps rejects unknown op kinds and empty keys before the
+// transaction starts, so Apply never fails on op content.
 func ValidateOps(ops []Op) error {
 	if len(ops) == 0 {
 		return fmt.Errorf("empty batch")
@@ -101,11 +117,11 @@ func ValidateOps(ops []Op) error {
 	return nil
 }
 
-// applyOps interprets a sub-batch against primitive accessors that the
+// applyOps interprets a batch against primitive accessors that the
 // caller runs inside one engine transaction; both backends share it so
-// the op semantics cannot drift between engines.
-func applyOps(ops []Op, get func(string) (string, bool), put func(string, string), del func(string) bool) []OpResult {
-	res := make([]OpResult, len(ops))
+// the op semantics cannot drift between engines. It assigns every
+// element of res, so a re-run attempt overwrites the previous one's.
+func applyOps(ops []Op, res []OpResult, get func(string) (string, bool), put func(string, string), del func(string) bool) {
 	for i, op := range ops {
 		switch op.Kind {
 		case "get":
@@ -124,5 +140,57 @@ func applyOps(ops []Op, get func(string) (string, bool), put func(string, string
 			res[i] = OpResult{Key: op.Key, Found: true, Value: sum}
 		}
 	}
-	return res
+}
+
+// mergeRuns k-way-merges sorted runs with pairwise-distinct keys (each
+// shard or bucket contributes one) into a fresh slice of the limit
+// smallest entries — all of them when limit is 0 — and nil when there
+// are none. The runs are a min-heap on their first key, so the work is
+// O(len(runs) + out·log len(runs)) whatever the runs hold beyond what is
+// returned. It consumes the runs' slice headers, never their elements.
+func mergeRuns(runs [][]KV, limit int) []KV {
+	heap, total := runs[:0], 0
+	for _, r := range runs {
+		if len(r) > 0 {
+			heap = append(heap, r)
+			total += len(r)
+		}
+	}
+	if limit > 0 && total > limit {
+		total = limit
+	}
+	if total == 0 {
+		return nil
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
+	out := make([]KV, 0, total)
+	for len(out) < total {
+		out = append(out, heap[0][0])
+		if heap[0] = heap[0][1:]; len(heap[0]) == 0 {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		siftDown(heap, 0)
+	}
+	return out
+}
+
+// siftDown restores the heap order below position i.
+func siftDown(heap [][]KV, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(heap) {
+			return
+		}
+		if c+1 < len(heap) && heap[c+1][0].Key < heap[c][0].Key {
+			c++
+		}
+		if heap[i][0].Key <= heap[c][0].Key {
+			return
+		}
+		heap[i], heap[c] = heap[c], heap[i]
+		i = c
+	}
 }

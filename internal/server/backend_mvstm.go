@@ -13,38 +13,38 @@ import (
 // engine's abort-free read path does the isolation work.
 const mvstmBackendBuckets = 256
 
-// mvstmBackend serves a shard from mvstm Vars. mvstm ships no container
-// types, so the backend builds its own: a fixed array of buckets, each a
-// sorted []KV behind one Var. Point reads use Var.Load (pinned peek, no
-// transaction); scans read every bucket in one read-only snapshot
-// transaction and merge; Apply copy-on-writes the touched buckets in one
-// mvstm.Atomically call.
+// mvstmBackend serves from mvstm Vars. mvstm ships no container types,
+// so the backend builds its own: shards × mvstmBackendBuckets buckets,
+// each a sorted []KV behind one Var, indexed by the key hash modulo the
+// bucket count — which puts bucket g in shard g mod shards, the shard
+// ShardOfKey names. A request is one transaction over the buckets its
+// keys hash to; a scan reads every bucket in one snapshot.
 type mvstmBackend struct {
-	buckets [mvstmBackendBuckets]*mvstm.Var[[]KV]
+	shards  int
+	buckets []*mvstm.Var[[]KV]
 }
 
-// NewMVSTMBackend returns a shard backend over fresh mvstm version chains.
-func NewMVSTMBackend() Backend {
-	return newMVSTMBackend(-1)
-}
+// NewMVSTMBackend returns a one-shard backend over fresh mvstm version
+// chains.
+func NewMVSTMBackend() Backend { return newMVSTMBackend(1, false) }
 
-// newMVSTMBackend builds the bucket array; a non-negative shard index
-// labels each bucket Var shard<i>.bucket<j> in the hot-Var registry —
-// buckets are this backend's contention unit (copy-on-write slices), so
-// hot-key reports name the bucket, not an individual key.
-func newMVSTMBackend(shard int) Backend {
-	b := &mvstmBackend{}
-	for i := range b.buckets {
-		b.buckets[i] = mvstm.NewVar[[]KV](nil)
-		if shard >= 0 {
-			b.buckets[i].Label(fmt.Sprintf("shard%d.bucket%d", shard, i))
+// newMVSTMBackend builds n shards' buckets. With label set, each bucket
+// Var is labeled shard<i>.bucket<j> in the hot-Var registry — buckets
+// are this backend's contention unit (copy-on-write slices), so hot-key
+// reports name the bucket, not an individual key.
+func newMVSTMBackend(n int, label bool) *mvstmBackend {
+	b := &mvstmBackend{shards: n, buckets: make([]*mvstm.Var[[]KV], n*mvstmBackendBuckets)}
+	for g := range b.buckets {
+		b.buckets[g] = mvstm.NewVar[[]KV](nil)
+		if label {
+			b.buckets[g].Label(fmt.Sprintf("shard%d.bucket%d", g%n, g/n))
 		}
 	}
 	return b
 }
 
 func (b *mvstmBackend) bucketFor(key string) *mvstm.Var[[]KV] {
-	return b.buckets[fnv32(key)%mvstmBackendBuckets]
+	return b.buckets[fnv32(key)%uint32(len(b.buckets))]
 }
 
 // search locates key in a sorted bucket slice.
@@ -53,62 +53,64 @@ func search(kvs []KV, key string) (int, bool) {
 	return i, i < len(kvs) && kvs[i].Key == key
 }
 
-func (b *mvstmBackend) Get(key string) (string, bool, error) {
-	kvs := b.bucketFor(key).Load()
+func lookup(kvs []KV, key string) (string, bool) {
 	if i, ok := search(kvs, key); ok {
-		return kvs[i].Value, true, nil
+		return kvs[i].Value, true
 	}
-	return "", false, nil
+	return "", false
 }
 
+func (b *mvstmBackend) Get(key string) (v string, ok bool, err error) {
+	bk := b.bucketFor(key)
+	err = mvstm.AtomicallyRO(func(tx *mvstm.Tx) error {
+		v, ok = lookup(bk.Get(tx), key)
+		return nil
+	})
+	return v, ok, err
+}
+
+// Scan clips every bucket of one snapshot to [from, to) and at most
+// limit entries — sub-slices of the immutable bucket versions, nothing
+// copied — and merges the clipped runs.
 func (b *mvstmBackend) Scan(from, to string, limit int) ([]KV, error) {
-	var out []KV
+	runs := make([][]KV, 0, len(b.buckets))
 	err := mvstm.AtomicallyRO(func(tx *mvstm.Tx) error {
-		out = out[:0]
+		runs = runs[:0]
 		for _, bk := range b.buckets {
-			for _, kv := range bk.Get(tx) {
-				if kv.Key >= from && (to == "" || kv.Key < to) {
-					out = append(out, kv)
-				}
+			run := bk.Get(tx)
+			lo, _ := search(run, from)
+			if run = run[lo:]; to != "" {
+				hi, _ := search(run, to)
+				run = run[:hi]
 			}
+			if limit > 0 && len(run) > limit {
+				run = run[:limit]
+			}
+			runs = append(runs, run)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	return out, nil
+	return mergeRuns(runs, limit), nil
 }
 
 func (b *mvstmBackend) Apply(ops []Op) ([]OpResult, error) {
-	var res []OpResult
+	res := make([]OpResult, len(ops))
 	err := mvstm.Atomically(func(tx *mvstm.Tx) error {
-		res = applyOps(ops,
-			func(k string) (string, bool) {
-				kvs := b.bucketFor(k).Get(tx)
-				if i, ok := search(kvs, k); ok {
-					return kvs[i].Value, true
-				}
-				return "", false
-			},
+		applyOps(ops, res,
+			func(k string) (string, bool) { return lookup(b.bucketFor(k).Get(tx), k) },
 			func(k, v string) {
 				bk := b.bucketFor(k)
 				kvs := bk.Get(tx)
 				i, ok := search(kvs, k)
-				next := make([]KV, len(kvs), len(kvs)+1)
-				copy(next, kvs)
+				next := append(make([]KV, 0, len(kvs)+1), kvs[:i]...)
+				next = append(next, KV{Key: k, Value: v})
 				if ok {
-					next[i] = KV{Key: k, Value: v}
-				} else {
-					next = append(next, KV{})
-					copy(next[i+1:], next[i:])
-					next[i] = KV{Key: k, Value: v}
+					i++ // replaces the entry it found
 				}
-				bk.Set(tx, next)
+				bk.Set(tx, append(next, kvs[i:]...))
 			},
 			func(k string) bool {
 				bk := b.bucketFor(k)
@@ -117,10 +119,8 @@ func (b *mvstmBackend) Apply(ops []Op) ([]OpResult, error) {
 				if !ok {
 					return false
 				}
-				next := make([]KV, 0, len(kvs)-1)
-				next = append(next, kvs[:i]...)
-				next = append(next, kvs[i+1:]...)
-				bk.Set(tx, next)
+				next := append(make([]KV, 0, len(kvs)-1), kvs[:i]...)
+				bk.Set(tx, append(next, kvs[i+1:]...))
 				return true
 			},
 		)
@@ -132,17 +132,19 @@ func (b *mvstmBackend) Apply(ops []Op) ([]OpResult, error) {
 	return res, nil
 }
 
-func (b *mvstmBackend) Len() (int, error) {
-	n := 0
+func (b *mvstmBackend) shardLens() ([]int, error) {
+	lens := make([]int, b.shards)
 	err := mvstm.AtomicallyRO(func(tx *mvstm.Tx) error {
-		n = 0
-		for _, bk := range b.buckets {
-			n += len(bk.Get(tx))
+		clear(lens)
+		for g, bk := range b.buckets {
+			lens[g%b.shards] += len(bk.Get(tx))
 		}
 		return nil
 	})
-	return n, err
+	return lens, err
 }
+
+func (b *mvstmBackend) Len() (int, error) { return sumLens(b.shardLens()) }
 
 func (b *mvstmBackend) Stats() Stats {
 	s := mvstm.ReadStats()

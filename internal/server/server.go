@@ -10,10 +10,10 @@ import (
 
 // Config sizes a Server.
 type Config struct {
-	// Shards is the number of independent engine instances the keyspace
-	// is hashed across (minimum 1).
+	// Shards is the number of shard containers the keyspace is hashed
+	// across inside the engine's one TM (minimum 1).
 	Shards int
-	// Engine selects the per-shard backend: "stm" (TL2 OrderedMap) or
+	// Engine selects the backend: "stm" (a TL2 OrderedMap per shard) or
 	// "mvstm" (multi-version buckets).
 	Engine string
 	// RatePerIP caps each client IP at this many requests per second via

@@ -148,7 +148,7 @@ func TestScanMergesShardsInOrder(t *testing.T) {
 }
 
 // crossShardKeys returns two keys that land on different shards, so the
-// atomicity tests are guaranteed to exercise the 2PL path.
+// atomicity tests are guaranteed to span shards.
 func crossShardKeys(t *testing.T, r *Router) (string, string) {
 	t.Helper()
 	for i := 0; i < 1000; i++ {

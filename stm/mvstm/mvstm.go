@@ -515,8 +515,9 @@ func (tx *Tx) pin() {
 func (tx *Tx) unpin() { tx.slot.ts.Store(slotInactive) }
 
 // finish flushes the locally accumulated stats, deregisters the snapshot
-// and returns the descriptor to the pool. Oversized backing arrays are
-// dropped so one large transaction does not pin memory forever. The
+// and returns the descriptor to the pool, backing arrays included (the
+// garbage collector empties the pool, so nothing is pinned forever, and
+// a wide transaction does not regrow its sets from nil each call). The
 // retired-chain drain runs here, strictly after unpin: during commit the
 // descriptor's own registration (rv ≤ every retire timestamp it just
 // recorded) would hold the quiescence floor down and the drain could
@@ -534,12 +535,6 @@ func (tx *Tx) finish() {
 		tx.drainBlock()
 	}
 	tx.reset()
-	if cap(tx.reads) > 4096 {
-		tx.reads = nil
-	}
-	if cap(tx.writes) > 4096 {
-		tx.writes = nil
-	}
 	txPool.Put(tx)
 }
 

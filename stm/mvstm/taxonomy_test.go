@@ -8,6 +8,7 @@ package mvstm_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -27,7 +28,9 @@ func hammer(t *testing.T, workers, iters int, vars ...*mvstm.Var[int]) mvstm.Sta
 			for i := 0; i < iters; i++ {
 				if err := mvstm.Atomically(func(tx *mvstm.Tx) error {
 					for _, v := range vars {
-						v.Set(tx, v.Get(tx)+1)
+						n := v.Get(tx)
+						runtime.Gosched() // let a sibling commit inside the window: contention on any core count
+						v.Set(tx, n+1)
 					}
 					return nil
 				}); err != nil {

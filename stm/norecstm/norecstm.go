@@ -168,16 +168,11 @@ func (tx *Tx) reset() {
 	tx.trec = nil
 }
 
-// release returns the descriptor to the pool, dropping oversized backing
-// arrays so one large transaction does not pin memory forever.
+// release returns the descriptor to the pool, backing arrays included:
+// the garbage collector empties the pool, so nothing is pinned forever,
+// and a wide transaction does not regrow its sets from nil each call.
 func (tx *Tx) release() {
 	tx.reset()
-	if cap(tx.reads) > 4096 {
-		tx.reads = nil
-	}
-	if cap(tx.writes) > 4096 {
-		tx.writes = nil
-	}
 	txPool.Put(tx)
 }
 

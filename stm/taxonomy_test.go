@@ -9,6 +9,7 @@ package stm_test
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -30,7 +31,9 @@ func hammer(t *testing.T, workers, iters int, vars ...*stm.Var[int]) stm.Stats {
 			for i := 0; i < iters; i++ {
 				if err := stm.Atomically(func(tx *stm.Tx) error {
 					for _, v := range vars {
-						v.Set(tx, v.Get(tx)+1)
+						n := v.Get(tx)
+						runtime.Gosched() // let a sibling commit inside the window: contention on any core count
+						v.Set(tx, n+1)
 					}
 					return nil
 				}); err != nil {

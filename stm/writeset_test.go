@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 )
@@ -163,3 +164,72 @@ type sentinelErr struct{}
 func (sentinelErr) Error() string { return "sentinel" }
 
 var errSentinel = sentinelErr{}
+
+// TestWideTxKeepsItsSetsWarm pins the descriptor pool's retention rule.
+// A 500-insert transaction into a 16k-key OrderedMap logs ~15k reads;
+// release must hand the descriptor back with that array, so the next
+// wide transaction appends into it instead of regrowing it from nil (the
+// serving tier's preload is exactly this shape, one transaction per
+// 500-put batch). The inserts themselves allocate nodes, which would
+// drown the ~40 regrowth allocations in a count, so the insert
+// transaction is checked by capacity and the allocation bound is put on
+// a 500-lookup transaction of the same width, which must allocate nothing.
+func TestWideTxKeepsItsSetsWarm(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	m := NewOrderedMap[int]()
+	for lo := 0; lo < 16000; lo += 500 {
+		_ = Atomically(func(tx *Tx) error {
+			for i := lo; i < lo+500; i++ {
+				m.Put(tx, fmt.Sprintf("k%06d", i), i)
+			}
+			return nil
+		})
+	}
+	keys := make([]string, 500)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%06dx", i*32) // spread between the present keys
+	}
+	calls, width, regrown := 0, 0, 0
+	insertThenDelete := func() {
+		calls++
+		_ = Atomically(func(tx *Tx) error {
+			before := cap(tx.reads)
+			for i, k := range keys {
+				m.Put(tx, k, i)
+			}
+			// The first call warms whichever descriptor the pool hands out.
+			if width = len(tx.reads); calls > 1 && cap(tx.reads) != before {
+				regrown++
+			}
+			return nil
+		})
+		_ = Atomically(func(tx *Tx) error {
+			for _, k := range keys {
+				m.Delete(tx, k)
+			}
+			return nil
+		})
+	}
+	// AllocsPerRun pins GOMAXPROCS to 1, so every call draws the
+	// descriptor the previous one released.
+	testing.AllocsPerRun(3, insertThenDelete)
+	if width <= 4096 {
+		t.Fatalf("insert transaction logged %d reads, want a read set wider than the old 4096-entry cut-off", width)
+	}
+	if regrown != 0 {
+		t.Fatalf("%d of 3 warm 500-insert transactions regrew a %d-entry read set", regrown, width)
+	}
+	lookups := func() {
+		_ = Atomically(func(tx *Tx) error {
+			for _, k := range keys {
+				m.Contains(tx, k)
+			}
+			return nil
+		})
+	}
+	if allocs := testing.AllocsPerRun(5, lookups); allocs != 0 {
+		t.Fatalf("warm 500-lookup transaction: %.0f allocs/run, want 0", allocs)
+	}
+}
