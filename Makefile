@@ -8,7 +8,7 @@ GO ?= go
 # PR names the committed perf-baseline label: bench-baseline writes
 # BENCH_$(PR).json and bench-diff/bench-gate read it. Override per PR
 # line (make bench-baseline PR=PR9) instead of hand-editing the recipes.
-PR ?= PR14
+PR ?= PR15
 BASELINE = BENCH_$(PR).json
 
 # -cpu 4 pins the GOMAXPROCS≥4 regime the contention benchmarks target;
@@ -29,7 +29,10 @@ BASELINE = BENCH_$(PR).json
 # baseline. The two router cells (BenchmarkRouterBatch, BenchmarkRouterScan
 # in internal/server) enter the serving tier below the codec: a 16-op
 # cross-shard transfer batch and a 100-entry scan page, on both engines.
-E8_BENCH = BenchmarkE8|BenchmarkE9Native|BenchmarkE10Native|BenchmarkE11Native|BenchmarkE12Hostile|BenchmarkE13GraphRouting|BenchmarkE14Clustering|BenchmarkE15Pipeline|BenchmarkROFastPath|BenchmarkVarContended|BenchmarkContentionSweep|BenchmarkMapDisjointPut|BenchmarkMapMixed|BenchmarkOrderedMap|BenchmarkRouter
+# The four handler cells (BenchmarkHandlerGet/Put/Batch/Scan) enter it one
+# layer up, at Server.Handler().ServeHTTP with no socket, so a handler
+# cell minus the router cell below it is the codec and the middlewares.
+E8_BENCH = BenchmarkE8|BenchmarkE9Native|BenchmarkE10Native|BenchmarkE11Native|BenchmarkE12Hostile|BenchmarkE13GraphRouting|BenchmarkE14Clustering|BenchmarkE15Pipeline|BenchmarkROFastPath|BenchmarkVarContended|BenchmarkContentionSweep|BenchmarkMapDisjointPut|BenchmarkMapMixed|BenchmarkOrderedMap|BenchmarkRouter|BenchmarkHandler
 # -benchmem records B/op and allocs/op in every baseline — the input the
 # bench-gate zero-allocation assertion reads.
 E8_FLAGS = -run '^$$' -bench '$(E8_BENCH)' -benchtime 0.2s -count 8 -cpu 4 -benchmem -timeout 30m
@@ -37,7 +40,8 @@ E8_PKGS = . ./stm ./internal/server
 
 # ZEROALLOC names the steady-state cells that must never allocate: the
 # single-writer mvstm snapshot cells of the E11 HTAP scan (pooled version
-# chains) and both read-only fast-path cells. bench-gate fails if any of
+# chains), both read-only fast-path cells, and a GET /get from the handler
+# down (pooled codec, a one-read read-only transaction). bench-gate fails if any of
 # them reports a nonzero allocs/op. The writers=4 mvstm cells are
 # deliberately excluded: at -cpu 4 they run five pinned goroutines on four
 # Ps, so one is always descheduled mid-pin, freezing the epoch floor for a
@@ -45,7 +49,7 @@ E8_PKGS = . ./stm ./internal/server
 # lists overflow and drop to the GC by design (see "Pooled version chains"
 # in DESIGN.md; buffering past a quantum just trades the misses for GC
 # pressure).
-ZEROALLOC = E11NativeScan/.*writers=1/engine=mvstm|BenchmarkROFastPath
+ZEROALLOC = E11NativeScan/.*writers=1/engine=mvstm|BenchmarkROFastPath|BenchmarkHandlerGet
 
 .PHONY: test race server-test bench-smoke bench-e8 bench-baseline bench-diff bench-gate bench-scaling fuzz-smoke overhead-smoke docs-check
 
@@ -126,13 +130,18 @@ bench-scaling:
 # reader racing writers and the GC, the metering layer against the
 # unmetered engine (a refusal must change nothing, a commit everything),
 # and the contention sketch against a sequential frequency model (the
-# space-saving overestimate bound must hold on arbitrary id streams).
+# space-saving overestimate bound must hold on arbitrary id streams), and
+# the serving tier's hand-written wire codec against encoding/json in both
+# directions (accept/refuse and decoded ops; reply bytes).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMap$$' -fuzztime 10s ./stm
 	$(GO) test -run '^$$' -fuzz '^FuzzOrderedMap$$' -fuzztime 10s ./stm
 	$(GO) test -run '^$$' -fuzz '^FuzzMVStm$$' -fuzztime 10s ./stm/mvstm
 	$(GO) test -run '^$$' -fuzz '^FuzzBudget$$' -fuzztime 10s ./stm
 	$(GO) test -run '^$$' -fuzz '^FuzzSketch$$' -fuzztime 10s ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeOp$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeReply$$' -fuzztime 10s ./internal/server
 
 # overhead-smoke is the telemetry A/B gate mirroring the PR 6 metering
 # discipline: the uncontended transaction round-trip with telemetry off

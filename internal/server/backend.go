@@ -7,7 +7,11 @@
 //
 // The package is layered the way the handlers read:
 //
-//	handlers (handlers.go)      — JSON in/out, one function per endpoint
+//	handlers (handlers.go)      — one function per endpoint
+//	codec (codec.go)            — the data endpoints' fixed JSON schema,
+//	                              read and written by hand into pooled
+//	                              buffers; nothing the store keeps may
+//	                              alias them
 //	middlewares (middleware.go) — per-IP rate limiting, panic recovery,
 //	                              per-endpoint latency/error metrics
 //	router (shards.go)          — the shard count and the key→shard hash

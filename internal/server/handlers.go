@@ -1,14 +1,19 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strconv"
 )
 
+// The five data handlers below share one shape: take a codec scratch from
+// the pool, decode into it (codec.go), run the request's one transaction
+// through the router, encode the whole reply into the scratch, write it
+// with one Write, and give the scratch back. Failures answer through
+// writeError before anything else has been written.
+
 // handleGet serves GET /get?key=K.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
+	key := queryParam(r.URL.RawQuery, "key")
 	if key == "" {
 		writeError(w, http.StatusBadRequest, "missing key")
 		return
@@ -18,49 +23,63 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "value": v, "found": ok})
+	sc := getScratch()
+	sc.replyGet(key, v, ok)
+	sc.send(w)
+	sc.release()
 }
 
 // handlePut serves POST /put {"key": K, "value": V}.
 func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Key   string `json:"key"`
-		Value string `json:"value"`
+	sc := getScratch()
+	defer sc.release()
+	if status, msg := sc.readBody(r); status != 0 {
+		writeError(w, status, msg)
+		return
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Key == "" {
+	ops, ok := sc.decodeOp(fKey | fValue)
+	if !ok || ops[0].Key == "" {
 		writeError(w, http.StatusBadRequest, "want JSON body {key, value} with non-empty key")
 		return
 	}
-	if _, err := s.router.Batch([]Op{{Kind: "put", Key: req.Key, Value: req.Value}}); err != nil {
+	ops[0].Kind = "put"
+	if _, err := s.router.Batch(ops); err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+	sc.replyPut()
+	sc.send(w)
 }
 
 // handleDelete serves POST /delete {"key": K}.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Key string `json:"key"`
+	sc := getScratch()
+	defer sc.release()
+	if status, msg := sc.readBody(r); status != 0 {
+		writeError(w, status, msg)
+		return
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Key == "" {
+	ops, ok := sc.decodeOp(fKey)
+	if !ok || ops[0].Key == "" {
 		writeError(w, http.StatusBadRequest, "want JSON body {key} with non-empty key")
 		return
 	}
-	res, err := s.router.Batch([]Op{{Kind: "delete", Key: req.Key}})
+	ops[0].Kind = "delete"
+	res, err := s.router.Batch(ops)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"found": res[0].Found})
+	sc.replyDelete(res[0].Found)
+	sc.send(w)
 }
 
 // handleScan serves GET /scan?from=A&to=B&limit=N: the half-open ordered
 // range [from, to), merged across shards; empty to means "to the end".
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
+	q := r.URL.RawQuery
 	limit := 0
-	if ls := q.Get("limit"); ls != "" {
+	if ls := queryParam(q, "limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "limit must be a non-negative integer")
@@ -68,34 +87,42 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	kvs, err := s.router.Scan(q.Get("from"), q.Get("to"), limit)
+	kvs, err := s.router.Scan(queryParam(q, "from"), queryParam(q, "to"), limit)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"kvs": kvs, "count": len(kvs)})
+	sc := getScratch()
+	sc.replyScan(kvs)
+	sc.send(w)
+	sc.release()
 }
 
 // handleBatch serves POST /batch {"ops": [{kind, key, value?, delta?}]}:
 // every op in one transactional request, atomic across shards.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Ops []Op `json:"ops"`
+	sc := getScratch()
+	defer sc.release()
+	if status, msg := sc.readBody(r); status != 0 {
+		writeError(w, status, msg)
+		return
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	ops, ok := sc.decodeBatch()
+	if !ok {
 		writeError(w, http.StatusBadRequest, "want JSON body {ops: [...]}")
 		return
 	}
-	if err := ValidateOps(req.Ops); err != nil {
+	if err := ValidateOps(ops); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	res, err := s.router.Batch(req.Ops)
+	res, err := s.router.Batch(ops)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": res})
+	sc.replyBatch(res)
+	sc.send(w)
 }
 
 // handleStats serves GET /stats: engine counters (including the

@@ -22,14 +22,23 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the server's own writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
+var statusWriterPool = sync.Pool{New: func() any { return new(statusWriter) }}
+
 // withMetrics records per-endpoint latency and error counts into the
-// set's histogram for name.
+// set's histogram for name. The statusWriter is recycled once the handler
+// has returned; one that panicked is left to the collector.
 func withMetrics(m *metricsSet, name string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := statusWriterPool.Get().(*statusWriter)
+		sw.ResponseWriter, sw.status = w, http.StatusOK
 		start := time.Now()
 		next.ServeHTTP(sw, r)
 		m.observe(name, time.Since(start), sw.status >= 400)
+		sw.ResponseWriter = nil
+		statusWriterPool.Put(sw)
 	})
 }
 
@@ -91,7 +100,10 @@ func withRateLimit(rl *rateLimiter, next http.Handler) http.Handler {
 	})
 }
 
-// writeJSON and writeError are the only two response shapes the API has.
+// writeJSON and writeError answer everything but the data endpoints'
+// successes (see codec.go): /stats and /healthz, whose shapes are
+// open-ended, and every error reply — all off the hot path, so reflection
+// and a fresh encoder are what they cost.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

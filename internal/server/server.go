@@ -87,6 +87,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RatePerIP > 0 {
 		rl = newRateLimiter(cfg.RatePerIP)
 	}
+	s.handler = s.routes(rl)
+	return s, nil
+}
+
+// routes wires the endpoints over s.router and s.metrics.
+func (s *Server) routes(rl *rateLimiter) http.Handler {
 	mux := http.NewServeMux()
 	route := func(pattern, name string, h http.HandlerFunc) {
 		mux.Handle(pattern, withMetrics(s.metrics, name, h))
@@ -102,8 +108,7 @@ func New(cfg Config) (*Server, error) {
 	// Rate limiting sits outside the metrics wrapper on purpose: a 429
 	// never reaches a handler, so it should not pollute endpoint latency;
 	// recovery wraps everything.
-	s.handler = withRecovery(withRateLimit(rl, mux))
-	return s, nil
+	return withRecovery(withRateLimit(rl, mux))
 }
 
 // Handler returns the fully-wrapped HTTP handler.

@@ -22,7 +22,9 @@
 //
 // The hot path is allocation-free in steady state: transaction descriptors
 // are pooled and their read/write sets are recycled across attempts and
-// calls, so a read-only transaction performs zero heap allocations.
+// calls, so a read-only transaction performs zero heap allocations, and a
+// write costs exactly one: the typed value snapshot Set allocates is the
+// one commit publishes (see box).
 //
 // # Read-only fast path
 //
@@ -97,37 +99,54 @@ var clock atomic.Uint64
 // deadlock-free.
 var varIDs atomic.Uint64
 
-// box is an immutable value snapshot of a Var. The version lives in the
+// box is an immutable value snapshot of a Var, typed so the value sits in
+// the box itself rather than behind an interface. The version lives in the
 // Var's lock word, not here, so a read needs no pointer chase to find it.
-type box struct {
-	val any
+//
+// A box is the one allocation a transactional write costs: Set allocates
+// it, the write set carries the pointer, and commit publishes that same
+// pointer. Two consequences: a second Set of one Var in one transaction
+// allocates a second box (the first becomes garbage), and so do the boxes
+// of an attempt that aborts.
+type box[T any] struct {
+	val T
 }
 
 // varBase is the type-erased interface Tx uses to manage heterogeneous
 // Vars in one transaction. casWord exists for TicToc's rts advances — the
 // one place a reader mutates a lock word it does not hold.
+//
+// Value snapshots cross this interface as boxRef: the Var's own *box[T]
+// held in an interface. A pointer is stored in the interface word
+// directly, so neither direction allocates and the descriptor never sees
+// T. boxValue is the any view of a snapshot's value, for the trace hook
+// only.
 type varBase interface {
 	id() uint64
 	lockWord() uint64
 	casWord(old, new uint64) bool
 	tryLock() (prev uint64, ok bool)
 	unlock(ver uint64)
-	loadBox() *box
-	storeBox(*box)
+	loadBox() boxRef
+	storeBox(boxRef)
+	boxValue(boxRef) any
 }
+
+// boxRef is a *box[T] for the T of the Var it came from or is headed to.
+type boxRef any
 
 // Var is a transactional variable holding a value of type T.
 // The zero Var is not ready for use; create Vars with NewVar.
 type Var[T any] struct {
 	vid   uint64
 	lw    atomic.Uint64 // versioned lock word (see package comment)
-	state atomic.Pointer[box]
+	state atomic.Pointer[box[T]]
 }
 
 // NewVar creates a transactional variable with the given initial value.
 func NewVar[T any](initial T) *Var[T] {
 	v := &Var[T]{vid: varIDs.Add(1)}
-	v.state.Store(&box{val: initial})
+	v.state.Store(&box[T]{val: initial})
 	return v
 }
 
@@ -154,31 +173,36 @@ func (v *Var[T]) tryLock() (uint64, bool) {
 // commit, the new write version after a successful one) in the same store.
 func (v *Var[T]) unlock(ver uint64) { v.lw.Store(lockword.Unlocked(ver)) }
 
-func (v *Var[T]) loadBox() *box {
+// current returns the published snapshot.
+func (v *Var[T]) current() *box[T] {
 	b := v.state.Load()
 	if b == nil {
 		panic("stm: Var used before NewVar (the zero Var is not initialized)")
 	}
 	return b
 }
-func (v *Var[T]) storeBox(b *box) { v.state.Store(b) }
+
+func (v *Var[T]) loadBox() boxRef       { return v.current() }
+func (v *Var[T]) storeBox(b boxRef)     { v.state.Store(b.(*box[T])) }
+func (v *Var[T]) boxValue(b boxRef) any { return b.(*box[T]).val }
 
 // Get reads the variable inside a transaction. On conflict it aborts the
 // transaction (Atomically retries automatically).
 func (v *Var[T]) Get(tx *Tx) T {
-	return tx.read(v).(T)
+	return tx.read(v).(*box[T]).val
 }
 
 // Set buffers a write to the variable inside a transaction; it becomes
-// visible atomically at commit.
+// visible atomically at commit. The snapshot commit will publish is
+// allocated here, once (see box).
 func (v *Var[T]) Set(tx *Tx, val T) {
-	tx.write(v, val)
+	tx.write(v, &box[T]{val: val})
 }
 
 // Load reads the variable outside any transaction: a consistent single-
 // variable snapshot (equivalent to a one-read transaction).
 func (v *Var[T]) Load() T {
-	return v.loadBox().val.(T)
+	return v.current().val
 }
 
 // retrySignal aborts the current attempt; Atomically catches it.
@@ -279,7 +303,7 @@ type readEntry struct {
 
 type writeEntry struct {
 	v    varBase
-	val  any
+	box  boxRef // the snapshot Set allocated; commit publishes it as is
 	prev uint64 // pre-lock version, recorded while the commit holds the lock
 }
 
@@ -347,7 +371,9 @@ func (tx *Tx) findWrite(v varBase) (int, bool) {
 	return tx.searchWrite(v)
 }
 
-func (tx *Tx) read(v varBase) any {
+// read returns the snapshot v's transactional read observes: the
+// transaction's own buffered write, or the certified published one.
+func (tx *Tx) read(v varBase) boxRef {
 	if tx.ro {
 		if tx.tt {
 			return tx.ttReadRO(v)
@@ -362,9 +388,9 @@ func (tx *Tx) read(v varBase) any {
 	}
 	if i, ok := tx.findWrite(v); ok {
 		if tx.trec != nil {
-			tx.traceRead(v, tx.writes[i].val)
+			tx.traceRead(v, tx.writes[i].box)
 		}
-		return tx.writes[i].val
+		return tx.writes[i].box
 	}
 	for attempt := 0; ; attempt++ {
 		w := v.lockWord()
@@ -379,7 +405,7 @@ func (tx *Tx) read(v varBase) any {
 				continue
 			}
 			if tx.trec != nil {
-				tx.traceRead(v, b.val)
+				tx.traceRead(v, b)
 			}
 			tx.syncAt(syncpoint.PostReadCertify)
 			// Skip duplicate read-set entries for recently read Vars.
@@ -390,14 +416,14 @@ func (tx *Tx) read(v varBase) any {
 			// stays accurate.
 			for i, n := len(tx.reads)-1, len(tx.reads)-readDedupWindow; i >= 0 && i >= n; i-- {
 				if tx.reads[i].v == v {
-					return b.val
+					return b
 				}
 			}
 			if tx.metered {
 				tx.charge(tx.costs.Read)
 			}
 			tx.reads = append(tx.reads, readEntry{v: v, ver: lockword.Version(w)})
-			return b.val
+			return b
 		}
 		if lockword.Locked(w) {
 			tx.abortConflict(abortLockBusy, v) // mid-commit elsewhere; extension cannot see past a lock
@@ -427,7 +453,7 @@ func (tx *Tx) read(v varBase) any {
 // re-begin at the current clock); after the first certified read a stale
 // version aborts the attempt, and the retry — whose fresh rv covers the
 // version thanks to helpClock below — replays it.
-func (tx *Tx) readRO(v varBase) any {
+func (tx *Tx) readRO(v varBase) boxRef {
 	if tx.metered {
 		tx.charge(tx.costs.Step + tx.costs.Read)
 	}
@@ -443,10 +469,10 @@ func (tx *Tx) readRO(v varBase) any {
 			}
 			tx.roReads++
 			if tx.trec != nil {
-				tx.traceRead(v, b.val)
+				tx.traceRead(v, b)
 			}
 			tx.syncAt(syncpoint.PostReadCertify)
-			return b.val
+			return b
 		}
 		if lockword.Locked(w) {
 			tx.abortConflict(abortLockBusy, v) // mid-commit elsewhere; the RO path never waits it out
@@ -497,7 +523,7 @@ func (tx *Tx) extend() bool {
 	return true
 }
 
-func (tx *Tx) write(v varBase, val any) {
+func (tx *Tx) write(v varBase, b boxRef) {
 	if tx.ro {
 		if !tx.promoted {
 			panic("stm: Set inside a read-only transaction (AtomicallyRO cannot write)")
@@ -518,23 +544,23 @@ func (tx *Tx) write(v varBase, val any) {
 		tx.charge(tx.costs.Step)
 	}
 	if tx.trec != nil {
-		tx.traceWrite(v, val)
+		tx.traceWrite(v, b)
 	}
 	if tx.wmap != nil {
 		if i, ok := tx.wmap[v]; ok {
-			tx.writes[i].val = val
+			tx.writes[i].box = b
 			return
 		}
 		if tx.metered {
 			tx.charge(tx.costs.Write)
 		}
 		tx.wmap[v] = len(tx.writes)
-		tx.writes = append(tx.writes, writeEntry{v: v, val: val})
+		tx.writes = append(tx.writes, writeEntry{v: v, box: b})
 		return
 	}
 	i, found := tx.searchWrite(v)
 	if found {
-		tx.writes[i].val = val
+		tx.writes[i].box = b
 		return
 	}
 	if tx.metered {
@@ -548,14 +574,14 @@ func (tx *Tx) write(v varBase, val any) {
 			tx.wmap[tx.writes[j].v] = j
 		}
 		tx.wmap[v] = len(tx.writes)
-		tx.writes = append(tx.writes, writeEntry{v: v, val: val})
+		tx.writes = append(tx.writes, writeEntry{v: v, box: b})
 		return
 	}
 	// Sorted insert keeps the slice in Var-id order, so commit locks in the
 	// deadlock-free total order with no per-commit sort at all.
 	tx.writes = append(tx.writes, writeEntry{})
 	copy(tx.writes[i+1:], tx.writes[i:])
-	tx.writes[i] = writeEntry{v: v, val: val}
+	tx.writes[i] = writeEntry{v: v, box: b}
 }
 
 // snapshotWrites captures the write set (values included) so OrElse can
@@ -698,7 +724,7 @@ func (tx *Tx) commit() bool {
 	tx.syncAt(syncpoint.PrePublish)
 	for i := range tx.writes {
 		e := &tx.writes[i]
-		e.v.storeBox(&box{val: e.val})
+		e.v.storeBox(e.box)
 		e.v.unlock(wv) // lock release and version publication in one store
 	}
 	return true
@@ -1039,7 +1065,7 @@ func (v *Var[T]) String() string {
 	tt := ClockStrategy(clockStrategy.Load()) == TicToc
 	for {
 		w := v.lw.Load()
-		b := v.loadBox()
+		b := v.current()
 		w2 := v.lw.Load()
 		if !lockword.Locked(w) && !lockword.Locked(w2) {
 			if tt {

@@ -135,15 +135,15 @@ func (tx *Tx) ttAdvancePriors(floor uint64) bool {
 // re-load word), then fold the version's [wts, rts] interval into the
 // transaction's running intersection, repairing rts (the Var's or the
 // priors') when the intersection would go empty.
-func (tx *Tx) ttRead(v varBase) any {
+func (tx *Tx) ttRead(v varBase) boxRef {
 	if tx.metered {
 		tx.charge(tx.costs.Step)
 	}
 	if i, ok := tx.findWrite(v); ok {
 		if tx.trec != nil {
-			tx.traceRead(v, tx.writes[i].val)
+			tx.traceRead(v, tx.writes[i].box)
 		}
-		return tx.writes[i].val
+		return tx.writes[i].box
 	}
 	for attempt := 0; ; attempt++ {
 		w := v.lockWord()
@@ -168,13 +168,13 @@ func (tx *Tx) ttRead(v varBase) any {
 		}
 		if lo <= hi {
 			if tx.trec != nil {
-				tx.traceRead(v, b.val)
+				tx.traceRead(v, b)
 			}
 			tx.syncAt(syncpoint.PostReadCertify)
 			for i, n := len(tx.reads)-1, len(tx.reads)-readDedupWindow; i >= 0 && i >= n; i-- {
 				if tx.reads[i].v == v {
 					tx.rv, tx.ttHi = lo, hi
-					return b.val
+					return b
 				}
 			}
 			if tx.metered {
@@ -182,7 +182,7 @@ func (tx *Tx) ttRead(v varBase) any {
 			}
 			tx.reads = append(tx.reads, readEntry{v: v, ver: pl})
 			tx.rv, tx.ttHi = lo, hi
-			return b.val
+			return b
 		}
 		if attempt >= maxExtendAttempts {
 			tx.abortConflict(abortReadCertify, v)
@@ -208,7 +208,7 @@ func (tx *Tx) ttRead(v varBase) any {
 // the retry. With zero certified reads the interval is simply re-seeded:
 // a re-begin, exactly like the RO path's extension rule under the
 // versioned strategies.
-func (tx *Tx) ttReadRO(v varBase) any {
+func (tx *Tx) ttReadRO(v varBase) boxRef {
 	if tx.metered {
 		tx.charge(tx.costs.Step + tx.costs.Read)
 	}
@@ -237,10 +237,10 @@ func (tx *Tx) ttReadRO(v varBase) any {
 			tx.rv, tx.ttHi = lo, hi
 			tx.roReads++
 			if tx.trec != nil {
-				tx.traceRead(v, b.val)
+				tx.traceRead(v, b)
 			}
 			tx.syncAt(syncpoint.PostReadCertify)
-			return b.val
+			return b
 		}
 		if attempt >= maxExtendAttempts {
 			tx.abortConflict(abortReadCertify, v)
@@ -258,10 +258,10 @@ func (tx *Tx) ttReadRO(v varBase) any {
 			tx.roReads++
 			tx.stat().extensions.Add(1)
 			if tx.trec != nil {
-				tx.traceRead(v, b.val)
+				tx.traceRead(v, b)
 			}
 			tx.syncAt(syncpoint.PostReadCertify)
-			return b.val
+			return b
 		}
 		if !tx.ttAdvanceVar(v, tx.rv) {
 			tx.abortConflict(abortReadCertify, v)
@@ -353,7 +353,7 @@ func (tx *Tx) ttCommit() bool {
 	newPl := ttPack(cts, cts)
 	for i := range tx.writes {
 		e := &tx.writes[i]
-		e.v.storeBox(&box{val: e.val})
+		e.v.storeBox(e.box)
 		e.v.unlock(newPl)
 	}
 	return true

@@ -127,10 +127,10 @@ func (tx *Tx) traceBegin() {
 
 // traceRead records a certified read (called at the certify point, on both
 // the default and the RO path, including read-own-write hits).
-func (tx *Tx) traceRead(v varBase, val any) {
+func (tx *Tx) traceRead(v varBase, b boxRef) {
 	t := tx.trec
 	t.c.mu.Lock()
-	t.rec.Ops = append(t.rec.Ops, tm.Op{Seq: t.c.seq, Kind: tm.OpRead, Obj: t.c.objID(v), Value: traceValue(val)})
+	t.rec.Ops = append(t.rec.Ops, tm.Op{Seq: t.c.seq, Kind: tm.OpRead, Obj: t.c.objID(v), Value: traceValue(v.boxValue(b))})
 	t.c.seq++
 	t.c.mu.Unlock()
 }
@@ -138,10 +138,10 @@ func (tx *Tx) traceRead(v varBase, val any) {
 // traceWrite records a buffered write at invocation time (lazy buffering:
 // the write takes effect only if the attempt commits, which the record's
 // final status captures).
-func (tx *Tx) traceWrite(v varBase, val any) {
+func (tx *Tx) traceWrite(v varBase, b boxRef) {
 	t := tx.trec
 	t.c.mu.Lock()
-	t.rec.Ops = append(t.rec.Ops, tm.Op{Seq: t.c.seq, Kind: tm.OpWrite, Obj: t.c.objID(v), Value: traceValue(val)})
+	t.rec.Ops = append(t.rec.Ops, tm.Op{Seq: t.c.seq, Kind: tm.OpWrite, Obj: t.c.objID(v), Value: traceValue(v.boxValue(b))})
 	t.c.seq++
 	t.c.mu.Unlock()
 }

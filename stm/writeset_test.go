@@ -233,3 +233,35 @@ func TestWideTxKeepsItsSetsWarm(t *testing.T) {
 		t.Fatalf("warm 500-lookup transaction: %.0f allocs/run, want 0", allocs)
 	}
 }
+
+// TestSetAllocatesOneBox pins the cost of a transactional write: the typed
+// box Set allocates is the one commit publishes, so a committed Set is
+// exactly one allocation whatever T is, and a Get none. (A string, or an
+// int64 past the runtime's small-value cache, costs a second allocation
+// when the value crosses the write set as an interface.)
+func TestSetAllocatesOneBox(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	s, n := NewVar("a"), NewVar(int64(0))
+	str, num := fmt.Sprint("value ", 1), int64(1)<<40 // not constants: those convert to interfaces for free
+	cells := []struct {
+		name string
+		want float64
+		fn   func(tx *Tx) error
+	}{
+		{"Set on Var[string]", 1, func(tx *Tx) error { s.Set(tx, str); return nil }},
+		{"Set on Var[int64]", 1, func(tx *Tx) error { n.Set(tx, num); return nil }},
+		{"Get on both", 0, func(tx *Tx) error { str, num = s.Get(tx), n.Get(tx); return nil }},
+	}
+	for _, c := range cells {
+		got := testing.AllocsPerRun(100, func() {
+			if err := Atomically(c.fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: %v allocations per committed transaction, want %v", c.name, got, c.want)
+		}
+	}
+}
