@@ -51,13 +51,20 @@ E8_PKGS = . ./stm ./internal/server
 # pressure).
 ZEROALLOC = E11NativeScan/.*writers=1/engine=mvstm|BenchmarkROFastPath|BenchmarkHandlerGet
 
-.PHONY: test race server-test bench-smoke bench-e8 bench-baseline bench-diff bench-gate bench-scaling fuzz-smoke overhead-smoke docs-check
+.PHONY: test race loc server-test bench-smoke bench-e8 bench-baseline bench-diff bench-gate bench-scaling fuzz-smoke overhead-smoke docs-check
 
 test:
 	$(GO) build ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+
+# loc prints the figure ROADMAP.md tracks as "non-test Go lines": every
+# tracked .go file that is neither a test nor part of bench/ (the
+# benchmark harness is its own module and is not what the north star asks
+# to shrink).
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 # server-test is the serving-tier gate the CI server job runs: the
 # internal/server integration suite (including the Prometheus exposition
@@ -152,11 +159,22 @@ fuzz-smoke:
 overhead-smoke:
 	TM_OVERHEAD_SMOKE=1 $(GO) test -run '^TestTelemetryOffOverhead$$' -count=1 -v ./stm
 
+# ONE_DEFINITION lists the cross-cutting engine pieces internal/enginekit
+# owns (either capitalisation): docs-check fails if any is defined in more
+# than one non-test file, so the per-engine copies cannot grow back.
+ONE_DEFINITION = 'type [aA]bortReasons struct' 'func [rR]unAttempt[\[(]' \
+  'type traceCollector struct' 'func (\(.*\) )?[sS]etSyncHook\(' '\) [cC]hargeSoft\('
+
 # docs-check keeps the documentation executable: formatting, vet, and
 # every Example function in the repository (the README quickstart mirrors
-# ExampleAtomically, so a rotted example fails CI here).
+# ExampleAtomically, so a rotted example fails CI here) — and the
+# one-definition rule above.
 docs-check:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 	  echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
+	@for pat in $(ONE_DEFINITION); do \
+	  files=$$(git ls-files '*.go' | grep -v '_test\.go$$' | xargs grep -lE "$$pat"); \
+	  if [ $$(echo "$$files" | grep -c .) -gt 1 ]; then \
+	    echo "defined more than once ($$pat):"; echo "$$files"; exit 1; fi; done
 	$(GO) vet ./...
 	$(GO) test -run Example ./...

@@ -4,9 +4,10 @@
 // progressiveness.
 //
 // Histories come from two recorders that share the format: the simulator's
-// tm.Record wrapper, and the native stm engine's test-only trace hook
-// (stm/trace.go), which records every Atomically/AtomicallyRO attempt —
-// read-only fast path included — as the same internal/tm.History, so
+// tm.Record wrapper, and the native engines' test-only trace hook
+// (internal/enginekit/trace.go), which records every
+// Atomically/AtomicallyRO attempt — read-only fast path included — as the
+// same internal/tm.History, so
 // native traces dumped as JSON (see TestTraceHistoryJSONRoundTrip) are
 // checked with exactly this tool.
 //

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	ptm "repro"
+	"repro/internal/enginekit"
 	"repro/internal/exp"
 	"repro/stm"
 	"repro/stm/norecstm"
@@ -474,22 +475,31 @@ func runE8(c config) error {
 		v := e8Variants[spec] // validated in main
 		setPipeline(v)
 		for _, wl := range []string{"counter", "bank"} {
-			before := stm.ReadStats()
-			elapsed := e8DriveTL2(wl, c.workers, c.dur)
-			d := stm.ReadStats().Sub(before)
-			t.Add(v.label, wl, float64(d.Commits)/elapsed.Seconds(),
-				d.Commits, d.Aborts, d.AbortRatio(), d.Extensions)
+			e8Cell(&t, "stm", v.label, wl,
+				func() time.Duration { return e8DriveTL2(wl, c.workers, c.dur) },
+				func() uint64 { return stm.ReadStats().Extensions })
 		}
 	}
 	for _, wl := range []string{"counter", "bank"} {
-		before := norecstm.ReadStats()
-		elapsed := e8DriveNorec(wl, c.workers, c.dur)
-		d := norecstm.ReadStats().Sub(before)
-		t.Add("norec", wl, float64(d.Commits)/elapsed.Seconds(),
-			d.Commits, d.Aborts, d.AbortRatio(), d.Revalidations)
+		e8Cell(&t, "norecstm", "norec", wl,
+			func() time.Duration { return e8DriveNorec(wl, c.workers, c.dur) },
+			func() uint64 { return norecstm.ReadStats().Revalidations })
 	}
 	ptm.PrintTable(os.Stdout, &t)
 	return nil
+}
+
+// e8Cell drives one E8 cell and adds its row. The shared columns are the
+// delta of the engine kit's common snapshot; the last column is the
+// engine's own extension or revalidation counter, which only its
+// ReadStats carries.
+func e8Cell(t *ptm.Table, engine, label, wl string, drive func() time.Duration, last func() uint64) {
+	k := enginekit.ByName(engine)
+	before, lastBefore := k.Common(), last()
+	elapsed := drive()
+	d := k.Common().Sub(before)
+	t.Add(label, wl, float64(d.Commits)/elapsed.Seconds(),
+		d.Commits, d.Aborts, d.AbortRatio(), last()-lastBefore)
 }
 
 // e8DriveTL2 runs the named workload on the repro/stm engine for roughly

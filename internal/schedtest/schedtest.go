@@ -3,8 +3,8 @@
 // the engine-side counterpart of internal/sched's cooperative scheduler
 // over simulated memory. Where sched interposes on every primitive of a
 // simulated algorithm, schedtest interposes on the handful of sync
-// points the engines expose through their test-only hooks (see each
-// engine's syncpoint.go and internal/syncpoint for the point map): a
+// points the engines expose through the test-only hook of
+// internal/enginekit (see internal/syncpoint for the point map): a
 // worker goroutine running real transactions parks at every hook call,
 // and the harness releases exactly one worker at a time according to a
 // sched.Policy. An execution is then a pure function of the policy's

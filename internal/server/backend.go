@@ -22,6 +22,8 @@ package server
 import (
 	"fmt"
 	"strconv"
+
+	"repro/internal/enginekit"
 )
 
 // KV is one key/value pair, as served and scanned.
@@ -92,6 +94,20 @@ type Backend interface {
 type store interface {
 	Backend
 	shardLens() ([]int, error)
+}
+
+// commonStats fills the counters every engine keeps the same way from
+// the engine kit's snapshot; a backend adds its engine's protocol
+// counters to the result.
+func commonStats(k *enginekit.Kit) Stats {
+	c := k.Common()
+	return Stats{
+		Commits:      c.Commits,
+		ROCommits:    c.ROCommits,
+		Aborts:       c.Aborts,
+		BudgetAborts: c.BudgetAborts,
+		AbortReasons: c.AbortReasons.Map(),
+	}
 }
 
 func sumLens(lens []int, err error) (int, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/enginekit"
 	"repro/stm/mvstm"
 )
 
@@ -147,13 +148,7 @@ func (b *mvstmBackend) shardLens() ([]int, error) {
 func (b *mvstmBackend) Len() (int, error) { return sumLens(b.shardLens()) }
 
 func (b *mvstmBackend) Stats() Stats {
-	s := mvstm.ReadStats()
-	return Stats{
-		Commits:          s.Commits,
-		ROCommits:        s.ROCommits,
-		Aborts:           s.Aborts,
-		BudgetAborts:     s.BudgetAborts,
-		AbortReasons:     s.AbortReasons.Map(),
-		ClockBlockClaims: s.ClockBlockClaims,
-	}
+	st := commonStats(enginekit.ByName("mvstm"))
+	st.ClockBlockClaims = mvstm.ReadStats().ClockBlockClaims
+	return st
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"repro/internal/enginekit"
 	"repro/stm"
 )
 
@@ -104,17 +105,11 @@ func (b *stmBackend) shardLens() ([]int, error) {
 func (b *stmBackend) Len() (int, error) { return sumLens(b.shardLens()) }
 
 func (b *stmBackend) Stats() Stats {
-	s := stm.ReadStats()
-	return Stats{
-		Commits:          s.Commits,
-		ROCommits:        s.ROCommits,
-		Aborts:           s.Aborts,
-		BudgetAborts:     s.BudgetAborts,
-		AbortReasons:     s.AbortReasons.Map(),
-		Extensions:       s.Extensions,
-		ClockIncrements:  s.ClockIncrements,
-		ClockAdoptions:   s.ClockAdoptions,
-		ClockBlockClaims: s.ClockBlockClaims,
-		RTSAdvances:      s.RTSAdvances,
-	}
+	st, s := commonStats(enginekit.ByName("stm")), stm.ReadStats()
+	st.Extensions = s.Extensions
+	st.ClockIncrements = s.ClockIncrements
+	st.ClockAdoptions = s.ClockAdoptions
+	st.ClockBlockClaims = s.ClockBlockClaims
+	st.RTSAdvances = s.RTSAdvances
+	return st
 }

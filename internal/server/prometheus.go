@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/loghist"
-	"repro/stm"
-	"repro/stm/mvstm"
 )
 
 // This file renders GET /metrics in the Prometheus text exposition
@@ -123,19 +121,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		promHistSeries(&b, "tm_http_request_duration_us", fmt.Sprintf("endpoint=\"%s\"", promEscape(name)), s.metrics.hists[i].Snapshot())
 	}
 
-	var lat, att *loghist.Hist
-	switch s.engine {
-	case "stm":
-		lat, att = stm.LatencyHists()
-	case "mvstm":
-		lat, att = mvstm.LatencyHists()
-	}
-	if lat != nil {
-		promHeader(&b, "tm_commit_latency_us", "Sampled wall-clock microseconds from first attempt to successful commit (see Config.LatencySample).", "histogram")
-		promHistSeries(&b, "tm_commit_latency_us", engineLabel, lat.Snapshot())
-		promHeader(&b, "tm_commit_attempts", "Sampled attempts burned per successful commit (1 = first try).", "histogram")
-		promHistSeries(&b, "tm_commit_attempts", engineLabel, att.Snapshot())
-	}
+	lat, att := s.kit.LatencyHists()
+	promHeader(&b, "tm_commit_latency_us", "Sampled wall-clock microseconds from first attempt to successful commit (see Config.LatencySample).", "histogram")
+	promHistSeries(&b, "tm_commit_latency_us", engineLabel, lat.Snapshot())
+	promHeader(&b, "tm_commit_attempts", "Sampled attempts burned per successful commit (1 = first try).", "histogram")
+	promHistSeries(&b, "tm_commit_attempts", engineLabel, att.Snapshot())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

@@ -3,9 +3,8 @@ package server
 import (
 	"net/http"
 
+	"repro/internal/enginekit"
 	"repro/internal/telemetry"
-	"repro/stm"
-	"repro/stm/mvstm"
 )
 
 // Config sizes a Server.
@@ -38,8 +37,12 @@ type Config struct {
 
 // Server wires router, middlewares, and handlers into one http.Handler.
 type Server struct {
-	router  *Router
-	engine  string
+	router *Router
+	engine string
+	// kit is the selected engine's cross-cutting state (profiler, latency
+	// sampling and histograms), resolved once so nothing below switches on
+	// the engine name.
+	kit     *enginekit.Kit
 	metrics *metricsSet
 	sketch  *telemetry.Sketch
 	handler http.Handler
@@ -64,24 +67,15 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		router:  router,
 		engine:  cfg.Engine,
+		kit:     enginekit.ByName(cfg.Engine), // the router refused unknown engines
 		metrics: newMetricsSet(endpointNames...),
 	}
 	if cfg.ProfileK > 0 {
 		s.sketch = telemetry.NewSketch(cfg.ProfileK, cfg.ProfileSample)
-		switch cfg.Engine {
-		case "stm":
-			stm.SetContentionProfiler(s.sketch)
-		case "mvstm":
-			mvstm.SetContentionProfiler(s.sketch)
-		}
+		s.kit.SetContentionProfiler(s.sketch)
 	}
 	if cfg.LatencySample > 0 {
-		switch cfg.Engine {
-		case "stm":
-			stm.SetLatencySampling(cfg.LatencySample)
-		case "mvstm":
-			mvstm.SetLatencySampling(cfg.LatencySample)
-		}
+		s.kit.SetLatencySampling(cfg.LatencySample)
 	}
 	var rl *rateLimiter
 	if cfg.RatePerIP > 0 {

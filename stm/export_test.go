@@ -6,23 +6,23 @@ import (
 	"repro/internal/tm/lockword"
 )
 
-// Test-only exports: the native history trace hook (see trace.go) and a
+// Test-only exports: the native history trace hook (see internal/enginekit) and a
 // few descriptor internals the RO fast-path tests assert on.
 
 // StartTrace enables history tracing. Call with no transactions in
 // flight, before spawning workload goroutines.
-func StartTrace() { startTrace() }
+func StartTrace() { kit.StartTrace() }
 
 // StopTrace disables tracing and returns the recorded history. Call after
 // joining every workload goroutine.
-func StopTrace() *tm.History { return stopTrace() }
+func StopTrace() *tm.History { return kit.StopTrace() }
 
-// SetSyncHook installs the scheduling-harness hook (see syncpoint.go):
+// SetSyncHook installs the scheduling-harness hook (see internal/enginekit):
 // every transaction begun while it is set calls h at each engine sync
 // point, and proc supplies the harness worker id traced as the history
 // Proc. Install and remove (h = nil) only with no transactions in
 // flight, and run no transactions outside the harness while it is set.
-func SetSyncHook(h func(syncpoint.Point), proc func() int) { setSyncHook(h, proc) }
+func SetSyncHook(h func(syncpoint.Point), proc func() int) { kit.SetSyncHook(h, proc) }
 
 // ReadSetLen reports how many read-set entries the descriptor has logged;
 // the RO fast path must keep it at zero.
@@ -52,7 +52,7 @@ func VarLocked[T any](v *Var[T]) bool { return lockword.Locked(v.lw.Load()) }
 
 // BudgetLeft reports the descriptor's remaining work-budget grant, for
 // pinning down exactly where a charge lands.
-func BudgetLeft(tx *Tx) uint64 { return tx.budgetLeft }
+func BudgetLeft(tx *Tx) uint64 { return tx.k.Left() }
 
 // SetGV7BlockSizeForTest overrides the GV7 block size K and returns a
 // restore func. Call only while the engine is quiescent; the block-edge

@@ -6,23 +6,23 @@ import (
 	"repro/internal/tm/lockword"
 )
 
-// Test-only exports: the native history trace hook (see trace.go) and the
+// Test-only exports: the native history trace hook (see internal/enginekit) and the
 // chain internals the GC and fuzz tests assert on.
 
 // StartTrace enables history tracing. Call with no transactions in
 // flight, before spawning workload goroutines.
-func StartTrace() { startTrace() }
+func StartTrace() { kit.StartTrace() }
 
 // StopTrace disables tracing and returns the recorded history. Call after
 // joining every workload goroutine.
-func StopTrace() *tm.History { return stopTrace() }
+func StopTrace() *tm.History { return kit.StopTrace() }
 
-// SetSyncHook installs the scheduling-harness hook (see syncpoint.go):
+// SetSyncHook installs the scheduling-harness hook (see internal/enginekit):
 // every transaction begun while it is set calls h at each engine sync
 // point, and proc supplies the harness worker id traced as the history
 // Proc. Install and remove (h = nil) only with no transactions in
 // flight, and run no transactions outside the harness while it is set.
-func SetSyncHook(h func(syncpoint.Point), proc func() int) { setSyncHook(h, proc) }
+func SetSyncHook(h func(syncpoint.Point), proc func() int) { kit.SetSyncHook(h, proc) }
 
 // ChainLen reports the number of versions currently published on v's
 // chain.

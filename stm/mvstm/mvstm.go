@@ -75,6 +75,7 @@ package mvstm
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -82,10 +83,10 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/enginekit"
 	"repro/internal/mempool"
 	"repro/internal/syncpoint"
 	"repro/internal/tm/lockword"
-	"repro/stm/budget"
 )
 
 // clock is the global version clock shared by all Vars (advanced by the
@@ -362,12 +363,6 @@ func (v *Var[T]) Load() T {
 	return v.loadChain().head[0].val.(T)
 }
 
-// waitSignal is panicked by Retry: the transaction re-runs only after one
-// of the variables it read has changed. It is the engine's only control
-// signal — snapshot reads cannot fail mid-transaction, so conflicts
-// surface solely as a failed commit, never as a mid-attempt abort.
-type waitSignal struct{}
-
 // writeSetMapThreshold is the write-set size beyond which Tx switches from
 // a sorted-insert slice to an auxiliary map index, as in the stm engine.
 const writeSetMapThreshold = 24
@@ -388,14 +383,10 @@ type Tx struct {
 	// wmap indexes writes by Var past writeSetMapThreshold entries; below
 	// that, writes is kept sorted by Var id and binary-searched.
 	wmap map[varBase]int
-	// shard picks the descriptor's stats stripe, assigned once so pooled
-	// reuse keeps stripes spread out.
-	shard uint32
-	// latSeq is the descriptor-local sampling sequence for the commit
-	// latency histograms (see SetLatencySampling); it deliberately
-	// survives reset so pooled descriptors keep striding through the
-	// sample period.
-	latSeq uint32
+	// k is the engine kit's per-descriptor state: the stats stripe, the
+	// call's work-budget grant, latency sampling, and the test-only trace
+	// record and sync hook (see internal/enginekit).
+	k enginekit.Desc
 	// slot is the descriptor's registration in the epoch table; pin/unpin
 	// publish and clear the active read timestamp committers sweep against.
 	slot *epochSlot
@@ -412,14 +403,6 @@ type Tx struct {
 	// 0 not computed, 1 usable, 2 sweep skipped (a joiner was observed).
 	minRV    uint64
 	minState int
-	// metered/budgetLeft/costs are the call's work-budget grant, sampled
-	// once per call from the engine policy (see SetBudgetPolicy);
-	// budgetExceeded records exhaustion on the non-panicking paths. The
-	// grant survives reset: retries spend the same budget.
-	metered        bool
-	budgetExceeded bool
-	budgetLeft     uint64
-	costs          budget.Costs
 	// blockNext/blockEnd are the descriptor's GV7 tick block (see
 	// clock.go): ticks blockNext..blockEnd are claimed but unstamped.
 	// Blocks persist across pool cycles while GV7 is active.
@@ -430,11 +413,6 @@ type Tx struct {
 	// Timestamps are non-decreasing: appended in commit order under a
 	// monotone clock.
 	retired []retiredChain
-	// trec is the test-only trace record of the current attempt (nil
-	// outside tracing tests; see trace.go). sync is the test-only
-	// scheduling hook picked up at call entry (see syncpoint.go).
-	trec *traceTxn
-	sync func(syncpoint.Point)
 }
 
 // retiredChain is a chain unlinked from its Var, awaiting quiescence
@@ -461,7 +439,7 @@ const (
 
 type readEntry struct {
 	v   varBase
-	ver uint64 // newest committed version at read time (waitForChange polls it)
+	ver uint64 // newest committed version at read time (readsChanged polls it)
 }
 
 type writeEntry struct {
@@ -479,7 +457,7 @@ type writeEntry struct {
 }
 
 var txPool = sync.Pool{New: func() any {
-	tx := &Tx{shard: uint32(statSeq.Add(1)), slot: newEpochSlot()}
+	tx := &Tx{k: kit.NewDesc(), slot: newEpochSlot()}
 	// sync.Pool drops descriptors on GC cycles; the cleanup recycles the
 	// dropped descriptor's epoch slot so the slot registry stays bounded
 	// by peak descriptor concurrency, not by pool-eviction history.
@@ -495,7 +473,6 @@ func (tx *Tx) reset() {
 	clear(tx.writes)
 	tx.writes = tx.writes[:0]
 	tx.wmap = nil
-	tx.trec = nil
 }
 
 // pin registers the attempt's read timestamp in the epoch table and
@@ -504,8 +481,16 @@ func (tx *Tx) reset() {
 // skips truncation) or scanned before it, in which case this pin's clock
 // load happens after the sweeper sampled its own (older) read timestamp,
 // so rv is at least the sweep's floor and the snapshot is safe.
+//
+// The attempt's trace record opens before the clock sample, not after it:
+// a snapshot read is never re-certified, so a writer that commits wholly
+// between the sample and a later StartSeq would precede this attempt in
+// the traced real-time order and yet be invisible to it — a violation the
+// engine did not commit. Drawn first, EndSeq < StartSeq implies the
+// writer published before rv was sampled.
 func (tx *Tx) pin() {
-	tx.syncAt(syncpoint.Begin)
+	tx.k.SyncAt(syncpoint.Begin)
+	tx.k.TraceBegin()
 	tx.slot.ts.Store(slotJoining)
 	tx.rv = clock.Load()
 	tx.slot.ts.Store(tx.rv + slotBias)
@@ -606,8 +591,8 @@ func (tx *Tx) findWrite(v varBase) (int, bool) {
 func (tx *Tx) read(v varBase) any {
 	if !tx.ro {
 		if i, ok := tx.findWrite(v); ok {
-			if tx.trec != nil {
-				tx.traceRead(v, tx.writes[i].val)
+			if tx.k.Tracing() {
+				tx.k.TraceRead(v, tx.writes[i].val)
 			}
 			return tx.writes[i].val
 		}
@@ -654,7 +639,7 @@ func (tx *Tx) readSnapshot(v varBase) (any, uint64) {
 		// was preempted, so yield and then back off to real sleeps. Under
 		// the scheduling harness the holder is a parked worker — hand
 		// control to the schedule instead of spinning.
-		if tx.syncSpin() {
+		if tx.k.SyncSpin() {
 			continue
 		}
 		if spins < 8 {
@@ -674,17 +659,17 @@ func (tx *Tx) readSnapshot(v varBase) (any, uint64) {
 	// step per version examined, plus the read itself. This is the charge
 	// that stops an unbounded scanner — the one transaction shape the
 	// abort-free snapshot path would otherwise let run forever.
-	if tx.metered {
-		tx.charge(tx.costs.Read + tx.costs.Step*uint64(walked))
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Read + tx.k.Costs.Step*uint64(walked))
 	}
-	if tx.trec != nil {
-		tx.traceRead(v, val)
+	if tx.k.Tracing() {
+		tx.k.TraceRead(v, val)
 	}
 	// The snapshot lookup is this engine's read-certification analogue:
 	// the value is fixed once the chain walk returns, so the harness
 	// point sits after it (a writer granted here commits versions the
 	// pinned snapshot must — and does — ignore).
-	tx.syncAt(syncpoint.PostReadCertify)
+	tx.k.SyncAt(syncpoint.PostReadCertify)
 	return val, lockword.Version(w)
 }
 
@@ -692,19 +677,19 @@ func (tx *Tx) write(v varBase, val any) {
 	if tx.ro {
 		panic("mvstm: Set inside a read-only transaction (AtomicallyRO cannot write)")
 	}
-	if tx.metered {
-		tx.charge(tx.costs.Step)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step)
 	}
-	if tx.trec != nil {
-		tx.traceWrite(v, val)
+	if tx.k.Tracing() {
+		tx.k.TraceWrite(v, val)
 	}
 	if tx.wmap != nil {
 		if i, ok := tx.wmap[v]; ok {
 			tx.writes[i].val = val
 			return
 		}
-		if tx.metered {
-			tx.charge(tx.costs.Write)
+		if tx.k.Metered() {
+			tx.k.Charge(tx.k.Costs.Write)
 		}
 		tx.wmap[v] = len(tx.writes)
 		tx.writes = append(tx.writes, writeEntry{v: v, val: val})
@@ -715,8 +700,8 @@ func (tx *Tx) write(v varBase, val any) {
 		tx.writes[i].val = val
 		return
 	}
-	if tx.metered {
-		tx.charge(tx.costs.Write)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Write)
 	}
 	if len(tx.writes) >= writeSetMapThreshold {
 		tx.wmap = make(map[varBase]int, 2*writeSetMapThreshold)
@@ -734,25 +719,31 @@ func (tx *Tx) write(v varBase, val any) {
 	tx.writes[i] = writeEntry{v: v, val: val}
 }
 
-// snapshotWrites captures the write set (values included) so OrElse can
-// roll a blocked branch back, including overwrites of pre-branch writes.
-func (tx *Tx) snapshotWrites() ([]writeEntry, map[varBase]int) {
-	snap := append([]writeEntry(nil), tx.writes...)
-	var msnap map[varBase]int
-	if tx.wmap != nil {
-		msnap = make(map[varBase]int, len(tx.wmap))
-		for k, i := range tx.wmap {
-			msnap[k] = i
-		}
-	}
-	return snap, msnap
+// OrElse composes two transactional alternatives: it runs f, and if f
+// blocks via Retry, rolls back f's writes and runs g instead. If g also
+// blocks, the whole transaction waits (on the union of both branches'
+// read sets) and re-runs — the same combinator as stm.Tx.OrElse. Inside
+// AtomicallyRO the branches cannot block (Retry panics there), so OrElse
+// degenerates to running f.
+//
+// Only Retry falls through to g: a conflict abort restarts the entire
+// enclosing transaction, and an error returned by f is returned
+// immediately (with f's writes still buffered, exactly as if f's body had
+// been inlined).
+func (tx *Tx) OrElse(f, g func(*Tx) error) error {
+	return enginekit.OrElse(tx, f, g, tx.saveWrites)
 }
 
-// restoreWrites reinstates a snapshot taken by snapshotWrites.
-func (tx *Tx) restoreWrites(snap []writeEntry, msnap map[varBase]int) {
-	clear(tx.writes)
-	tx.writes = append(tx.writes[:0], snap...)
-	tx.wmap = msnap
+// saveWrites captures the write set (values included) and returns the
+// function that reinstates it, so OrElse can roll a blocked branch back,
+// including overwrites of pre-branch writes.
+func (tx *Tx) saveWrites() (restore func()) {
+	snap, msnap := slices.Clone(tx.writes), maps.Clone(tx.wmap)
+	return func() {
+		clear(tx.writes)
+		tx.writes = append(tx.writes[:0], snap...)
+		tx.wmap = msnap
+	}
 }
 
 // Retry aborts the transaction and blocks the retry until at least one
@@ -769,8 +760,8 @@ func (tx *Tx) Retry() {
 	}
 	// Taxonomy: a parked wait is a user-requested re-run, not a conflict
 	// (and not counted in Stats.Aborts).
-	tx.stat().reasons[abortExplicitRetry].Add(1)
-	panic(waitSignal{})
+	tx.k.NoteAbort(enginekit.ExplicitRetry, 0)
+	panic(enginekit.WaitSignal{})
 }
 
 // validateCommit checks, while the commit holds its write locks, that
@@ -856,20 +847,20 @@ func (tx *Tx) commit() bool {
 	// that retention and runs dry instead of growing them forever. The
 	// charge must not panic once locks are held, so it is soft and
 	// exhaustion surfaces as a failed commit; the attempt loop translates
-	// budgetExceeded into ErrOutOfBudget. (The rare rebuild-under-lock
+	// the exhausted meter into ErrOutOfBudget. (The rare rebuild-under-lock
 	// path below is not re-charged: the pre-lock estimate already priced
 	// this commit's retention within one version per contended chain.)
-	if tx.metered {
+	if tx.k.Metered() {
 		retained := uint64(0)
 		for i := range tx.writes {
 			retained += uint64(tx.writes[i].nc.len())
 		}
-		if !tx.chargeSoft(tx.costs.Version*retained + tx.costs.Step*uint64(len(tx.reads))) {
+		if !tx.k.ChargeSoft(tx.k.Costs.Version*retained + tx.k.Costs.Step*uint64(len(tx.reads))) {
 			tx.recycleBuilds()
 			return false
 		}
 	}
-	tx.syncAt(syncpoint.PreLock)
+	tx.k.SyncAt(syncpoint.PreLock)
 	locked := 0
 	for i := range tx.writes {
 		prev, ok := tx.writes[i].v.tryLock()
@@ -887,23 +878,23 @@ func (tx *Tx) commit() bool {
 	if locked != len(tx.writes) {
 		releaseLocked(locked)
 		tx.recycleBuilds()
-		tx.noteAbort(abortLockBusy, tx.writes[locked].v)
+		tx.k.NoteAbort(enginekit.LockBusy, tx.writes[locked].v.id())
 		return false
 	}
-	tx.syncAt(syncpoint.PostLock)
+	tx.k.SyncAt(syncpoint.PostLock)
 	// The write version is fetched before validating (as in TL2 and the
 	// simulated mvtm): any writer serialized after this point either fails
 	// the ≤ rv check or is caught holding a lock. Both strategies draw a
 	// version above a post-lock clock load (see clock.go).
-	tx.syncAt(syncpoint.PreClockStamp)
+	tx.k.SyncAt(syncpoint.PreClockStamp)
 	wv := tx.advanceClock()
 	if bad, ok := tx.validateCommit(); !ok {
 		releaseLocked(locked)
 		tx.recycleBuilds()
-		tx.noteAbort(abortCommitValidation, bad)
+		tx.k.NoteAbort(enginekit.CommitValidation, bad.id())
 		return false
 	}
-	tx.syncAt(syncpoint.PrePublish)
+	tx.k.SyncAt(syncpoint.PrePublish)
 	hwm := 0
 	for i := range tx.writes {
 		e := &tx.writes[i]
@@ -976,7 +967,7 @@ func (tx *Tx) buildChain(e *writeEntry, st *statShard) {
 			// granted here and pinning now must either be seen by the
 			// scan or make the sweep skip (the joining-sentinel race the
 			// GC-truncation pathology test interleaves against).
-			tx.syncAt(syncpoint.GCSweep)
+			tx.k.SyncAt(syncpoint.GCSweep)
 			if m, ok := minActiveRV(tx.rv); ok {
 				tx.minRV, tx.minState = m, 1
 			} else {
@@ -1003,7 +994,7 @@ func (tx *Tx) buildChain(e *writeEntry, st *statShard) {
 // AtomicallyRO instead: the snapshot path skips read-set logging and
 // commit validation entirely and can never abort.
 func Atomically(fn func(tx *Tx) error) error {
-	return atomically(nil, fn)
+	return atomically(nil, fn, false)
 }
 
 // AtomicallyCtx is Atomically with a cancellation point: the context is
@@ -1013,30 +1004,48 @@ func Atomically(fn func(tx *Tx) error) error {
 // ctx.Err(). An attempt already past its check runs to completion, so a
 // commit racing the cancellation may still land.
 func AtomicallyCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return atomically(ctx, fn)
+	return atomically(ctx, fn, false)
 }
 
-// atomically is the shared retry loop behind Atomically and
-// AtomicallyCtx; a nil ctx costs one predictable branch per attempt.
-func atomically(ctx context.Context, fn func(tx *Tx) error) error {
-	admitted()
+// AtomicallyRO runs fn as a snapshot (read-only) transaction: every read
+// is served from the version chains at the transaction's pinned read
+// timestamp, with no read-set logging, no validation, and no abort path —
+// the transaction runs exactly once, which is the whole point of keeping
+// versions (mv-permissiveness, the simulated mvtm's guarantee, at native
+// speed). Returning a non-nil error returns it to the caller, as with
+// Atomically.
+//
+// fn must not write: Set panics, and Retry panics since there is no
+// recorded read set to wait on. Use Atomically for transactions that may
+// write or need Retry.
+func AtomicallyRO(fn func(tx *Tx) error) error {
+	return atomically(nil, fn, true)
+}
+
+// AtomicallyROCtx is AtomicallyRO with a cancellation point: a context
+// already done when the call starts returns ctx.Err() without running fn.
+// The transaction itself still runs exactly once — snapshot reads never
+// block on writers that started after the pin, so there is no retry loop
+// to interrupt.
+func AtomicallyROCtx(ctx context.Context, fn func(tx *Tx) error) error {
+	return atomically(ctx, fn, true)
+}
+
+// atomically is the one retry loop behind the four entry points; ro runs
+// the call on the snapshot path, whose single attempt leaves the loop on
+// its first pass: snapshot reads cannot conflict and Set/Retry panic with
+// usage errors, so it ends in a user error, a free commit (nothing to
+// lock or validate) or — walking chains under a budget — the one abort it
+// has, which is never retried since the grant is per call. A nil ctx
+// costs one predictable branch per attempt.
+func atomically(ctx context.Context, fn func(tx *Tx) error, ro bool) error {
 	tx := txPool.Get().(*Tx)
-	tx.ro = false
-	tx.sync = nil
-	if syncOn {
-		tx.sync = syncHook
-	}
-	tx.beginBudget()
-	var latStart time.Time
-	if p := latEvery.Load(); p != 0 {
-		tx.latSeq++
-		if uint64(tx.latSeq)&(p-1) == 0 {
-			latStart = time.Now()
-		}
-	}
+	tx.ro = ro
+	tx.k.Begin(!ro)
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic escaping fn must not strand the descriptor: finish
+			// A panic escaping fn (including the Set/Retry usage errors of
+			// the snapshot path) must not strand the descriptor: finish
 			// drops the epoch registration (the GC floor must not stay
 			// pinned forever) and recycles the descriptor into the pool. No
 			// engine locks can be held here — commit runs no user code and
@@ -1054,195 +1063,44 @@ func atomically(ctx context.Context, fn func(tx *Tx) error) error {
 		}
 		tx.reset()
 		tx.pin()
-		if traceOn {
-			tx.traceBegin()
-		}
-		err, ctl := runAttempt(tx, fn)
-		if ctl == ctlRetryWait {
-			tx.traceEnd(false)
+		err, ctl := enginekit.RunAttempt(tx, fn)
+		switch {
+		case ctl == enginekit.CtlRetryWait:
+			tx.k.TraceEnd(false)
 			// Deregister the snapshot before blocking: a transaction asleep
 			// in Retry must not hold the GC floor down.
 			tx.unpin()
-			waitForChange(tx, ctx)
+			tx.k.Park(ctx, tx.readsChanged)
 			continue // the wait already yielded; retry immediately
-		}
-		if ctl == ctlBudget {
-			tx.stat().aborts.Add(1)
-			tx.traceEnd(false)
-			return tx.budgetAbort()
-		}
-		if err != nil {
-			tx.traceEnd(false)
+		case ctl == enginekit.CtlOK && err != nil:
+			tx.k.TraceEnd(false)
 			tx.finish()
 			return err // user error: abort without retry
-		}
-		if tx.commit() {
-			tx.stat().commits.Add(1)
-			if !latStart.IsZero() {
-				commitLatency.Observe(uint64(time.Since(latStart).Microseconds()))
-				attemptsPerCommit.Observe(uint64(attempt) + 1)
-			}
-			tx.traceEnd(true)
+		case ctl == enginekit.CtlOK && tx.commit():
+			tx.k.Committed(attempt, tx.ro)
 			tx.finish()
 			return nil
 		}
-		// The only conflict-abort source: commit validation or lock
-		// acquisition failed (snapshot reads cannot fail mid-attempt).
-		tx.stat().aborts.Add(1)
-		tx.traceEnd(false)
-		if tx.budgetExceeded {
-			return tx.budgetAbort()
-		}
-		if !tx.chargeSoft(tx.costs.Retry) {
+		// The only conflict-abort source is commit (validation or lock
+		// acquisition failed): snapshot reads cannot fail mid-attempt.
+		if tx.k.Failed(ctl) || !tx.k.ChargeSoft(tx.k.Costs.Retry) {
 			return tx.budgetAbort()
 		}
 		backoff.Attempt(attempt)
 	}
 }
 
-// AtomicallyRO runs fn as a snapshot (read-only) transaction: every read
-// is served from the version chains at the transaction's pinned read
-// timestamp, with no read-set logging, no validation, and no abort path —
-// the transaction runs exactly once, which is the whole point of keeping
-// versions (mv-permissiveness, the simulated mvtm's guarantee, at native
-// speed). Returning a non-nil error returns it to the caller, as with
-// Atomically.
-//
-// fn must not write: Set panics, and Retry panics since there is no
-// recorded read set to wait on. Use Atomically for transactions that may
-// write or need Retry.
-func AtomicallyRO(fn func(tx *Tx) error) error {
-	return atomicallyRO(nil, fn)
-}
-
-// AtomicallyROCtx is AtomicallyRO with a cancellation point: a context
-// already done when the call starts returns ctx.Err() without running fn.
-// The transaction itself still runs exactly once — snapshot reads never
-// block on writers that started after the pin, so there is no retry loop
-// to interrupt.
-func AtomicallyROCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return atomicallyRO(ctx, fn)
-}
-
-// atomicallyRO is the shared single-run body behind AtomicallyRO and
-// AtomicallyROCtx.
-func atomicallyRO(ctx context.Context, fn func(tx *Tx) error) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return err
+// readsChanged is the predicate a parked Retry waits on: some variable in
+// the read set has a version newer than the one read. Each probe is a
+// single atomic load of the lock word.
+func (tx *Tx) readsChanged() bool {
+	for i := range tx.reads {
+		r := &tx.reads[i]
+		if lockword.Version(r.v.lockWord()) != r.ver {
+			return true
 		}
 	}
-	tx := txPool.Get().(*Tx)
-	tx.ro = true
-	tx.sync = nil
-	if syncOn {
-		tx.sync = syncHook
-	}
-	tx.beginBudget()
-	var latStart time.Time
-	if p := latEvery.Load(); p != 0 {
-		tx.latSeq++
-		if uint64(tx.latSeq)&(p-1) == 0 {
-			latStart = time.Now()
-		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			// As in atomically: a panic (including the Set/Retry usage
-			// errors) must release the epoch registration and recycle the
-			// descriptor.
-			tx.finish()
-			panic(r)
-		}
-	}()
-	tx.reset()
-	tx.pin()
-	if traceOn {
-		tx.traceBegin()
-	}
-	err, ctl := runAttempt(tx, fn)
-	if ctl == ctlBudget {
-		// The one abort the snapshot path has: the budget ran dry walking
-		// chains. There is no retry — the grant is per call, and a re-run
-		// would just run dry again.
-		tx.stat().aborts.Add(1)
-		tx.traceEnd(false)
-		return tx.budgetAbort()
-	}
-	if ctl != ctlOK {
-		// The snapshot path raises no other engine signals: reads cannot
-		// conflict, and Set/Retry panic with usage errors before
-		// signalling.
-		panic("mvstm: internal: snapshot transaction raised an abort signal")
-	}
-	if err == nil {
-		st := tx.stat()
-		st.commits.Add(1)
-		st.roCommits.Add(1)
-		if !latStart.IsZero() {
-			commitLatency.Observe(uint64(time.Since(latStart).Microseconds()))
-			attemptsPerCommit.Observe(1)
-		}
-	}
-	tx.traceEnd(err == nil)
-	tx.finish()
-	return err
-}
-
-type ctlKind int
-
-const (
-	ctlOK ctlKind = iota
-	ctlRetryWait
-	ctlBudget
-)
-
-// runAttempt executes one attempt of fn, translating the Retry and
-// budget signals into control flow. Unknown panics propagate.
-func runAttempt(tx *Tx, fn func(tx *Tx) error) (err error, ctl ctlKind) {
-	defer func() {
-		switch r := recover(); r.(type) {
-		case nil:
-		case waitSignal:
-			ctl = ctlRetryWait
-		case budgetSignal:
-			ctl = ctlBudget
-		default:
-			panic(r)
-		}
-	}()
-	return fn(tx), ctlOK
-}
-
-// waitForChange blocks until some variable in the transaction's read set
-// has a version newer than the one read, or until ctx (if any) is done —
-// the caller's loop turns that into a clean cancellation abort. Each
-// probe is a single atomic load of the lock word, and the poll interval
-// backs off exponentially so long waits cost almost nothing.
-func waitForChange(tx *Tx, ctx context.Context) {
-	for spins := 0; ; spins++ {
-		for i := range tx.reads {
-			r := &tx.reads[i]
-			if lockword.Version(r.v.lockWord()) != r.ver {
-				return
-			}
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return
-		}
-		if tx.syncSpin() {
-			continue
-		}
-		if spins < 4 {
-			runtime.Gosched()
-		} else {
-			d := time.Microsecond << uint(min(spins-4, 10))
-			if d > time.Millisecond {
-				d = time.Millisecond
-			}
-			time.Sleep(d)
-		}
-	}
+	return false
 }
 
 // Sanity check that Var implements varBase.

@@ -1,10 +1,13 @@
 package mvstm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/enginekit"
+)
 
 // Stats is a snapshot of the engine-wide transaction counters. Counters
-// are maintained on padded per-descriptor stripes, as in the stm engine;
-// snapshot reads additionally batch their counts per call so the
+// are maintained on padded per-descriptor stripes; snapshot reads additionally batch their counts per call so the
 // abort-free read path pays no atomic add per read.
 type Stats struct {
 	// Commits counts transactions that committed (including snapshot
@@ -57,67 +60,30 @@ type Stats struct {
 	// snapshot's value through). Bounded chains under churn are the GC's
 	// acceptance signal; a pinned long reader shows up here as growth.
 	ChainHWM uint64
-	// AbortReasons classifies every abort at its site, mirroring
-	// repro/stm's taxonomy shape-wise. Snapshot reads cannot fail
-	// mid-attempt, so this engine produces only LockBusy (commit could
-	// not acquire its write locks), CommitValidation (a validated read
-	// was overwritten or foreign-locked), Budget and ExplicitRetry;
-	// ReadCertify and Extension stay zero by construction.
+	// AbortReasons classifies every abort at its site. Snapshot reads
+	// cannot fail mid-attempt, so this engine produces only LockBusy
+	// (commit could not acquire its write locks), CommitValidation (a
+	// validated read was overwritten or foreign-locked), Budget and
+	// ExplicitRetry; ReadCertify and Extension stay zero by construction.
 	AbortReasons AbortReasons
 }
 
-// AbortReasons is the per-class abort breakdown, field-compatible with
-// repro/stm's so the serving tier reports all engines uniformly. The
-// conflict classes partition Stats.Aborts minus budget refusals; Budget
-// equals Stats.BudgetAborts; ExplicitRetry counts user Retry signals
-// (parked waits, which are not in Stats.Aborts).
-type AbortReasons struct {
-	ReadCertify      uint64
-	CommitValidation uint64
-	LockBusy         uint64
-	Extension        uint64
-	Budget           uint64
-	ExplicitRetry    uint64
-}
-
-// Total sums every class.
-func (r AbortReasons) Total() uint64 {
-	return r.ReadCertify + r.CommitValidation + r.LockBusy + r.Extension + r.Budget + r.ExplicitRetry
-}
-
-// Sub returns the per-class deltas r - t.
-func (r AbortReasons) Sub(t AbortReasons) AbortReasons {
-	return AbortReasons{
-		ReadCertify:      r.ReadCertify - t.ReadCertify,
-		CommitValidation: r.CommitValidation - t.CommitValidation,
-		LockBusy:         r.LockBusy - t.LockBusy,
-		Extension:        r.Extension - t.Extension,
-		Budget:           r.Budget - t.Budget,
-		ExplicitRetry:    r.ExplicitRetry - t.ExplicitRetry,
-	}
-}
-
-// Map returns the breakdown keyed by the stable snake_case names the
-// serving tier and tmstat expose.
-func (r AbortReasons) Map() map[string]uint64 {
-	return map[string]uint64{
-		"read_certify":      r.ReadCertify,
-		"commit_validation": r.CommitValidation,
-		"lock_busy":         r.LockBusy,
-		"extension":         r.Extension,
-		"budget":            r.Budget,
-		"explicit_retry":    r.ExplicitRetry,
-	}
-}
+// AbortReasons is the per-class abort breakdown, one definition shared by
+// all three native engines and the serving tier (it aliases
+// internal/enginekit.AbortReasons, where each class is documented):
+// uint64 counters ReadCertify, CommitValidation, LockBusy, Extension,
+// Budget and ExplicitRetry, with Total, Sub and Map accessors (Map keys
+// are the stable snake_case names /stats and tmstat expose). The four
+// conflict classes partition Stats.Aborts minus budget refusals — each
+// failed attempt increments exactly one at the site that killed it —
+// Budget equals Stats.BudgetAborts, and ExplicitRetry counts user Retry
+// signals (parked waits are not in Stats.Aborts). Classes an engine
+// cannot produce stay zero.
+type AbortReasons = enginekit.AbortReasons
 
 // AbortRatio returns Aborts / (Commits + Aborts), or 0 for an empty
 // snapshot.
-func (s Stats) AbortRatio() float64 {
-	if s.Commits+s.Aborts == 0 {
-		return 0
-	}
-	return float64(s.Aborts) / float64(s.Commits+s.Aborts)
-}
+func (s Stats) AbortRatio() float64 { return enginekit.AbortRatio(s.Commits, s.Aborts) }
 
 // MeanChainWalk returns WalkSteps / SnapshotReads, or 0 for an empty
 // snapshot.
@@ -150,31 +116,12 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
-// statStripes is the number of counter stripes; a power of two so stripe
-// selection is a mask.
-const statStripes = 16
-
-// Abort-reason indices into a statShard's reasons array; the order
-// matches the AbortReasons fields.
-const (
-	abortReadCertify = iota
-	abortCommitValidation
-	abortLockBusy
-	abortExtension
-	abortBudget
-	abortExplicitRetry
-	nAbortReasons
-)
-
 // statShard is one stripe of counters, padded out to its own cache lines
-// so stripes do not false-share: 13 named counters plus 6 reason
-// counters is 19 words (152 bytes), padded to the next 128-byte
+// so stripes do not false-share: the kit's 10 shared counters plus 9
+// protocol counters is 19 words (152 bytes), padded to the next 128-byte
 // multiple.
 type statShard struct {
-	commits          atomic.Uint64
-	roCommits        atomic.Uint64
-	aborts           atomic.Uint64
-	budgetAborts     atomic.Uint64
+	enginekit.Counters
 	snapshotReads    atomic.Uint64
 	walkSteps        atomic.Uint64
 	appended         atomic.Uint64
@@ -184,17 +131,11 @@ type statShard struct {
 	gcSweeps         atomic.Uint64
 	gcSkips          atomic.Uint64
 	chainHWM         atomic.Uint64
-	reasons          [nAbortReasons]atomic.Uint64
 	_                [256 - 19*8]byte
 }
 
-var statShards [statStripes]statShard
-
-// statSeq hands out stripe indices to new descriptors.
-var statSeq atomic.Uint64
-
 // stat returns the descriptor's counter stripe.
-func (tx *Tx) stat() *statShard { return &statShards[tx.shard&(statStripes-1)] }
+func (tx *Tx) stat() *statShard { return &kit.stripes[tx.k.Shard()&(enginekit.Stripes-1)] }
 
 // maxChain raises the stripe's chain-length high-water mark to n.
 func (sh *statShard) maxChain(n uint64) {
@@ -210,13 +151,10 @@ func (sh *statShard) maxChain(n uint64) {
 // maximum). It is safe to call concurrently with transactions; the
 // snapshot is per-counter atomic, not a cross-counter consistent cut.
 func ReadStats() Stats {
-	var s Stats
-	for i := range statShards {
-		sh := &statShards[i]
-		s.Commits += sh.commits.Load()
-		s.ROCommits += sh.roCommits.Load()
-		s.Aborts += sh.aborts.Load()
-		s.BudgetAborts += sh.budgetAborts.Load()
+	c := kit.Common()
+	s := Stats{Commits: c.Commits, ROCommits: c.ROCommits, Aborts: c.Aborts, BudgetAborts: c.BudgetAborts, AbortReasons: c.AbortReasons}
+	for i := range kit.stripes {
+		sh := &kit.stripes[i]
 		s.SnapshotReads += sh.snapshotReads.Load()
 		s.WalkSteps += sh.walkSteps.Load()
 		s.VersionsAppended += sh.appended.Load()
@@ -225,15 +163,7 @@ func ReadStats() Stats {
 		s.ClockBlockClaims += sh.clockBlockClaims.Load()
 		s.GCSweeps += sh.gcSweeps.Load()
 		s.GCSkips += sh.gcSkips.Load()
-		if h := sh.chainHWM.Load(); h > s.ChainHWM {
-			s.ChainHWM = h
-		}
-		s.AbortReasons.ReadCertify += sh.reasons[abortReadCertify].Load()
-		s.AbortReasons.CommitValidation += sh.reasons[abortCommitValidation].Load()
-		s.AbortReasons.LockBusy += sh.reasons[abortLockBusy].Load()
-		s.AbortReasons.Extension += sh.reasons[abortExtension].Load()
-		s.AbortReasons.Budget += sh.reasons[abortBudget].Load()
-		s.AbortReasons.ExplicitRetry += sh.reasons[abortExplicitRetry].Load()
+		s.ChainHWM = max(s.ChainHWM, sh.chainHWM.Load())
 	}
 	return s
 }

@@ -26,11 +26,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/enginekit"
 	"repro/internal/syncpoint"
-	"repro/stm/budget"
 )
 
 // seq is the global sequence lock: even = quiescent, odd = a writer is
@@ -97,9 +96,6 @@ func (v *Var[T]) Set(tx *Tx, val T) { tx.write(v, val) }
 // Load reads the variable outside any transaction.
 func (v *Var[T]) Load() T { return v.state.Load().val.(T) }
 
-type retrySignal struct{}
-type waitSignal struct{}
-
 // writeSetMapThreshold is the write-set size beyond which Tx adds a map
 // index for read-own-write lookup; below it a linear scan of the slice is
 // faster than hashing and allocates nothing.
@@ -114,7 +110,10 @@ type Tx struct {
 	reads  []readEntry
 	writes []writeEntry
 	wmap   map[varBase]int // index into writes; non-nil past the threshold
-	shard  uint32          // stats stripe; assigned once, survives reset
+	// k is the engine kit's per-descriptor state: the stats stripe, the
+	// call's work-budget grant, latency sampling, and the test-only trace
+	// record and sync hook (see internal/enginekit).
+	k enginekit.Desc
 	// ro marks the read-only fast path (AtomicallyRO): reads are certified
 	// against the sequence snapshot but never logged, so a moved sequence
 	// cannot be revalidated by value — the attempt re-begins if it has
@@ -122,24 +121,6 @@ type Tx struct {
 	// inside an RO transaction panic.
 	ro      bool
 	roReads int
-	// latSeq is the descriptor-local sampling sequence for the commit
-	// latency histograms (see SetLatencySampling); it deliberately
-	// survives reset so pooled descriptors keep striding through the
-	// sample period.
-	latSeq uint32
-	// metered/budgetLeft/costs are the call's work-budget grant, sampled
-	// once per call from the engine policy (see SetBudgetPolicy);
-	// budgetExceeded records exhaustion on the non-panicking paths. The
-	// grant survives reset: retries spend the same budget.
-	metered        bool
-	budgetExceeded bool
-	budgetLeft     uint64
-	costs          budget.Costs
-	// trec is the test-only trace record of the current attempt (nil
-	// outside tracing tests; see trace.go); sync the test-only scheduling
-	// hook of the current call (nil outside harness tests; syncpoint.go).
-	trec *traceTxn
-	sync func(syncpoint.Point)
 }
 
 type readEntry struct {
@@ -152,9 +133,7 @@ type writeEntry struct {
 	val any
 }
 
-var txPool = sync.Pool{New: func() any {
-	return &Tx{shard: uint32(statSeq.Add(1))}
-}}
+var txPool = sync.Pool{New: func() any { return &Tx{k: kit.NewDesc()} }}
 
 // reset clears the read and write sets in place, keeping their backing
 // arrays, and zeroes dropped entries so a pooled Tx pins no user data.
@@ -165,7 +144,6 @@ func (tx *Tx) reset() {
 	tx.writes = tx.writes[:0]
 	tx.wmap = nil
 	tx.roReads = 0
-	tx.trec = nil
 }
 
 // release returns the descriptor to the pool, backing arrays included:
@@ -191,14 +169,14 @@ func (tx *Tx) findWrite(v varBase) (int, bool) {
 }
 
 func (tx *Tx) begin() {
-	tx.syncAt(syncpoint.Begin)
+	tx.k.SyncAt(syncpoint.Begin)
 	for {
 		s := seq.Load()
 		if s&1 == 0 {
 			tx.snap = s
 			return
 		}
-		if !tx.syncSpin() {
+		if !tx.k.SyncSpin() {
 			runtime.Gosched()
 		}
 	}
@@ -211,19 +189,19 @@ func (tx *Tx) begin() {
 // and only a genuinely overwritten read aborts. Each completed scan is
 // counted so the Θ(m)-per-conflict revalidation cost the paper's Theorem 3
 // builds on is observable (ReadStats). reason classifies a failed scan
-// for the abort taxonomy — the read path passes abortReadCertify, the
-// commit CAS loop abortCommitValidation — and the overwritten entry's
+// for the abort taxonomy — the read path passes enginekit.ReadCertify, the
+// commit CAS loop enginekit.CommitValidation — and the overwritten entry's
 // Var feeds the contention profiler.
 func (tx *Tx) validate(reason int) {
 	// The revalidation scan is engine work on the transaction's behalf:
 	// one step per read entry, charged per completed pass. The charge may
-	// panic budgetSignal — safe from the read path, and translated into a
+	// panic BudgetSignal — safe from the read path, and translated into a
 	// failed commit by commit's recover (no lock is held there either).
-	tx.charge(tx.costs.Step * uint64(len(tx.reads)))
+	tx.k.Charge(tx.k.Costs.Step * uint64(len(tx.reads)))
 	for {
 		s := seq.Load()
 		if s&1 == 1 {
-			if !tx.syncSpin() {
+			if !tx.k.SyncSpin() {
 				runtime.Gosched()
 			}
 			continue
@@ -253,26 +231,26 @@ func (tx *Tx) read(v varBase) any {
 	if tx.ro {
 		return tx.readRO(v)
 	}
-	if tx.metered {
-		tx.charge(tx.costs.Step)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step)
 	}
 	if i, ok := tx.findWrite(v); ok {
-		if tx.trec != nil {
-			tx.traceRead(v, tx.writes[i].val)
+		if tx.k.Tracing() {
+			tx.k.TraceRead(v, tx.writes[i].val)
 		}
 		return tx.writes[i].val
 	}
 	b := v.loadBox()
 	for seq.Load() != tx.snap {
-		tx.validate(abortReadCertify)
+		tx.validate(enginekit.ReadCertify)
 		b = v.loadBox()
 	}
-	if tx.trec != nil {
-		tx.traceRead(v, b.val)
+	if tx.k.Tracing() {
+		tx.k.TraceRead(v, b.val)
 	}
-	tx.syncAt(syncpoint.PostReadCertify)
-	if tx.metered {
-		tx.charge(tx.costs.Read)
+	tx.k.SyncAt(syncpoint.PostReadCertify)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Read)
 	}
 	tx.reads = append(tx.reads, readEntry{v: v, b: b})
 	return b.val
@@ -286,29 +264,29 @@ func (tx *Tx) read(v varBase) any {
 // begin — and aborts otherwise (Atomically's retry replays it against the
 // fresh sequence).
 func (tx *Tx) readRO(v varBase) any {
-	if tx.metered {
-		tx.charge(tx.costs.Step + tx.costs.Read)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step + tx.k.Costs.Read)
 	}
 	for {
 		b := v.loadBox()
 		s := seq.Load()
 		if s == tx.snap {
 			tx.roReads++
-			if tx.trec != nil {
-				tx.traceRead(v, b.val)
+			if tx.k.Tracing() {
+				tx.k.TraceRead(v, b.val)
 			}
-			tx.syncAt(syncpoint.PostReadCertify)
+			tx.k.SyncAt(syncpoint.PostReadCertify)
 			return b.val
 		}
 		if tx.roReads > 0 {
 			// Certified reads exist but there is no read log to
 			// revalidate: the snapshot cannot be extended, so the read
 			// fails certification outright.
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 		if s&1 == 1 {
 			// A writer is mid-commit; wait for a stable sequence.
-			if !tx.syncSpin() {
+			if !tx.k.SyncSpin() {
 				runtime.Gosched()
 			}
 			continue
@@ -321,18 +299,18 @@ func (tx *Tx) write(v varBase, val any) {
 	if tx.ro {
 		panic("norecstm: Set inside a read-only transaction (AtomicallyRO cannot write)")
 	}
-	if tx.metered {
-		tx.charge(tx.costs.Step)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step)
 	}
-	if tx.trec != nil {
-		tx.traceWrite(v, val)
+	if tx.k.Tracing() {
+		tx.k.TraceWrite(v, val)
 	}
 	if i, ok := tx.findWrite(v); ok {
 		tx.writes[i].val = val
 		return
 	}
-	if tx.metered {
-		tx.charge(tx.costs.Write)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Write)
 	}
 	if tx.wmap == nil && len(tx.writes) >= writeSetMapThreshold {
 		tx.wmap = make(map[varBase]int, 2*writeSetMapThreshold)
@@ -358,8 +336,8 @@ func (tx *Tx) Retry() {
 	}
 	// Taxonomy: a parked wait is a user-requested re-run, not a conflict
 	// (and not counted in Stats.Aborts).
-	tx.stat().reasons[abortExplicitRetry].Add(1)
-	panic(waitSignal{})
+	tx.k.NoteAbort(enginekit.ExplicitRetry, 0)
+	panic(enginekit.WaitSignal{})
 }
 
 func (tx *Tx) commit() (ok bool) {
@@ -368,28 +346,28 @@ func (tx *Tx) commit() (ok bool) {
 	}
 	// validate() reports an invalidated read set by panicking the retry
 	// signal; translate that into a failed commit so Atomically re-runs.
-	// Its budget charge can likewise panic budgetSignal mid-commit (only
+	// Its budget charge can likewise panic BudgetSignal mid-commit (only
 	// after a failed CAS, so no lock is held): same translation, and the
-	// attempt loop turns the budgetExceeded flag into ErrOutOfBudget.
+	// attempt loop turns the exhausted meter into ErrOutOfBudget.
 	defer func() {
 		if r := recover(); r != nil {
 			switch r.(type) {
-			case retrySignal, budgetSignal:
+			case enginekit.RetrySignal, enginekit.BudgetSignal:
 				ok = false
 				return
 			}
 			panic(r)
 		}
 	}()
-	tx.syncAt(syncpoint.PreLock)
+	tx.k.SyncAt(syncpoint.PreLock)
 	for !seq.CompareAndSwap(tx.snap, tx.snap+1) {
 		// The sequence moved: revalidate, then retry from the refreshed
 		// snapshot.
-		tx.validate(abortCommitValidation)
+		tx.validate(enginekit.CommitValidation)
 	}
 	// The CAS moved seq odd: this commit holds the global sequence lock.
-	tx.syncAt(syncpoint.PostLock)
-	tx.syncAt(syncpoint.PrePublish)
+	tx.k.SyncAt(syncpoint.PostLock)
+	tx.k.SyncAt(syncpoint.PrePublish)
 	for i := range tx.writes {
 		tx.writes[i].v.storeBox(&box{val: tx.writes[i].val})
 	}
@@ -400,7 +378,7 @@ func (tx *Tx) commit() (ok bool) {
 // Atomically runs fn inside a transaction, retrying on conflict until it
 // commits; a non-nil error aborts without retrying.
 func Atomically(fn func(tx *Tx) error) error {
-	return atomically(nil, fn)
+	return atomically(nil, fn, false)
 }
 
 // AtomicallyCtx is Atomically with a cancellation point: the context is
@@ -410,27 +388,33 @@ func Atomically(fn func(tx *Tx) error) error {
 // check runs to completion, so a commit racing the cancellation may still
 // land.
 func AtomicallyCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return atomically(ctx, fn)
+	return atomically(ctx, fn, false)
 }
 
-// atomically is the shared retry loop behind Atomically and
-// AtomicallyCtx; a nil ctx costs one predictable branch per attempt.
-func atomically(ctx context.Context, fn func(tx *Tx) error) error {
-	admitted()
+// AtomicallyRO runs fn as a read-only transaction, retrying until it
+// commits; a non-nil error aborts without retrying, as with Atomically.
+// It is NOrec's value-validation-free fast path: each read certifies only
+// that the global sequence has not moved since begin, nothing is logged,
+// and commit is a no-op — no read set, no revalidation scans. fn must not
+// write (Set panics) and must not call Retry (there is no recorded read
+// set to wait on).
+func AtomicallyRO(fn func(tx *Tx) error) error {
+	return atomically(nil, fn, true)
+}
+
+// AtomicallyROCtx is AtomicallyRO with a cancellation point, with the
+// same semantics as AtomicallyCtx.
+func AtomicallyROCtx(ctx context.Context, fn func(tx *Tx) error) error {
+	return atomically(ctx, fn, true)
+}
+
+// atomically is the one retry loop behind the four entry points; ro runs
+// the call on the read-only fast path. A nil ctx costs one predictable
+// branch per attempt.
+func atomically(ctx context.Context, fn func(tx *Tx) error, ro bool) error {
 	tx := txPool.Get().(*Tx)
-	tx.ro = false
-	tx.sync = nil
-	if syncOn {
-		tx.sync = syncHook
-	}
-	tx.beginBudget()
-	var latStart time.Time
-	if p := latEvery.Load(); p != 0 {
-		tx.latSeq++
-		if uint64(tx.latSeq)&(p-1) == 0 {
-			latStart = time.Now()
-		}
-	}
+	tx.ro = ro
+	tx.k.Begin(!ro)
 	defer func() {
 		if r := recover(); r != nil {
 			// A panic escaping fn must not strand the pooled descriptor. No
@@ -450,179 +434,38 @@ func atomically(ctx context.Context, fn func(tx *Tx) error) error {
 		}
 		tx.reset()
 		tx.begin()
-		if traceOn {
-			tx.traceBegin()
-		}
-		err, ctl := runAttempt(tx, fn)
-		switch ctl {
-		case ctlOK:
-			if err != nil {
-				tx.traceEnd(false)
-				tx.release()
-				return err
-			}
-			if tx.commit() {
-				tx.stat().commits.Add(1)
-				if !latStart.IsZero() {
-					commitLatency.Observe(uint64(time.Since(latStart).Microseconds()))
-					attemptsPerCommit.Observe(uint64(attempt) + 1)
-				}
-				tx.traceEnd(true)
-				tx.release()
-				return nil
-			}
-			tx.stat().aborts.Add(1)
-			tx.traceEnd(false)
-			if tx.budgetExceeded {
-				return tx.budgetAbort()
-			}
-		case ctlRetryNow:
-			tx.stat().aborts.Add(1)
-			tx.traceEnd(false)
-		case ctlBudget:
-			tx.stat().aborts.Add(1)
-			tx.traceEnd(false)
-			return tx.budgetAbort()
-		case ctlRetryWait:
-			tx.traceEnd(false)
-			waitForChange(tx, ctx)
+		tx.k.TraceBegin()
+		err, ctl := enginekit.RunAttempt(tx, fn)
+		switch {
+		case ctl == enginekit.CtlRetryWait:
+			tx.k.TraceEnd(false)
+			tx.k.Park(ctx, tx.readsChanged)
 			continue // the wait already yielded; retry immediately
-		}
-		if !tx.chargeSoft(tx.costs.Retry) {
-			return tx.budgetAbort()
-		}
-		backoff.Attempt(attempt)
-	}
-}
-
-// AtomicallyRO runs fn as a read-only transaction, retrying until it
-// commits; a non-nil error aborts without retrying, as with Atomically.
-// It is NOrec's value-validation-free fast path: each read certifies only
-// that the global sequence has not moved since begin, nothing is logged,
-// and commit is a no-op — no read set, no revalidation scans. fn must not
-// write (Set panics) and must not call Retry (there is no recorded read
-// set to wait on).
-func AtomicallyRO(fn func(tx *Tx) error) error {
-	return atomicallyRO(nil, fn)
-}
-
-// AtomicallyROCtx is AtomicallyRO with a cancellation point, with the
-// same semantics as AtomicallyCtx.
-func AtomicallyROCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return atomicallyRO(ctx, fn)
-}
-
-// atomicallyRO is the shared retry loop behind AtomicallyRO and
-// AtomicallyROCtx.
-func atomicallyRO(ctx context.Context, fn func(tx *Tx) error) error {
-	tx := txPool.Get().(*Tx)
-	tx.ro = true
-	tx.sync = nil
-	if syncOn {
-		tx.sync = syncHook
-	}
-	tx.beginBudget()
-	var latStart time.Time
-	if p := latEvery.Load(); p != 0 {
-		tx.latSeq++
-		if uint64(tx.latSeq)&(p-1) == 0 {
-			latStart = time.Now()
-		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			// As in atomically: recycle the descriptor under a user panic.
+		case ctl == enginekit.CtlOK && err != nil:
+			tx.k.TraceEnd(false)
 			tx.release()
-			panic(r)
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				tx.release()
-				return err
-			}
-		}
-		tx.reset()
-		tx.begin()
-		if traceOn {
-			tx.traceBegin()
-		}
-		err, ctl := runAttempt(tx, fn)
-		if ctl == ctlOK {
-			// Nothing to commit: every read was certified against the
-			// unmoved sequence when it was performed.
-			if err != nil {
-				tx.traceEnd(false)
-				tx.release()
-				return err
-			}
-			tx.stat().commits.Add(1)
-			tx.stat().roCommits.Add(1)
-			if !latStart.IsZero() {
-				commitLatency.Observe(uint64(time.Since(latStart).Microseconds()))
-				attemptsPerCommit.Observe(uint64(attempt) + 1)
-			}
-			tx.traceEnd(true)
+			return err
+		case ctl == enginekit.CtlOK && tx.commit():
+			// (On the RO path commit has nothing to do: every read was
+			// certified against the unmoved sequence when it was performed.)
+			tx.k.Committed(attempt, tx.ro)
 			tx.release()
 			return nil
 		}
-		// ctlRetryWait is impossible here (Retry panics on the RO path).
-		tx.stat().aborts.Add(1)
-		tx.traceEnd(false)
-		if ctl == ctlBudget {
-			return tx.budgetAbort()
-		}
-		if !tx.chargeSoft(tx.costs.Retry) {
+		if tx.k.Failed(ctl) || !tx.k.ChargeSoft(tx.k.Costs.Retry) {
 			return tx.budgetAbort()
 		}
 		backoff.Attempt(attempt)
 	}
 }
 
-type ctlKind int
-
-const (
-	ctlOK ctlKind = iota
-	ctlRetryNow
-	ctlRetryWait
-	ctlBudget
-)
-
-func runAttempt(tx *Tx, fn func(tx *Tx) error) (err error, ctl ctlKind) {
-	defer func() {
-		switch r := recover(); r.(type) {
-		case nil:
-		case retrySignal:
-			ctl = ctlRetryNow
-		case waitSignal:
-			ctl = ctlRetryWait
-		case budgetSignal:
-			ctl = ctlBudget
-		default:
-			panic(r)
-		}
-	}()
-	return fn(tx), ctlOK
-}
-
-// waitForChange blocks until a variable in the read set changes by
-// snapshot identity, or until ctx (if any) is done — the caller's loop
-// turns that into a clean cancellation abort. The ctx poll is sampled
-// every few spins so the common wake-by-write path stays a pure
-// pointer-compare loop.
-func waitForChange(tx *Tx, ctx context.Context) {
-	for spins := 0; ; spins++ {
-		for _, r := range tx.reads {
-			if r.v.loadBox() != r.b {
-				return
-			}
-		}
-		if ctx != nil && spins&63 == 0 && ctx.Err() != nil {
-			return
-		}
-		if !tx.syncSpin() {
-			runtime.Gosched()
+// readsChanged is the predicate a parked Retry waits on: a variable in
+// the read set changed by snapshot identity.
+func (tx *Tx) readsChanged() bool {
+	for _, r := range tx.reads {
+		if r.v.loadBox() != r.b {
+			return true
 		}
 	}
+	return false
 }

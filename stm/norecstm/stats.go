@@ -1,11 +1,14 @@
 package norecstm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
 
-// Stats is a snapshot of the engine-wide transaction counters, mirroring
-// repro/stm's Stats so the E8 harness can report both engines uniformly.
-// Counters live on padded per-descriptor stripes so keeping them adds no
-// shared contended word next to the sequence lock they help measure.
+	"repro/internal/enginekit"
+)
+
+// Stats is a snapshot of the engine-wide transaction counters. Counters
+// live on padded per-descriptor stripes so keeping them adds no shared
+// contended word next to the sequence lock they help measure.
 type Stats struct {
 	// Commits counts committed transactions; Aborts counts failed
 	// attempts, so the abort ratio is Aborts / (Commits + Aborts).
@@ -22,71 +25,35 @@ type Stats struct {
 	// NOrec's extension analogue, triggered whenever the global sequence
 	// moves under a live transaction. Each scan is Θ(|read set|).
 	Revalidations uint64
-	// AbortReasons classifies every abort at its site, mirroring
-	// repro/stm's taxonomy shape-wise. NOrec can only produce a subset of
-	// the classes: ReadCertify (a moved sequence killed an execution-time
-	// revalidation, or the RO fast path hit a moved sequence past its
-	// first certified read), CommitValidation (the commit-time
-	// revalidation inside the sequence-CAS loop found an overwritten
-	// read), Budget and ExplicitRetry. LockBusy and Extension stay zero:
-	// a reader that meets the odd (locked) sequence spins rather than
-	// aborting, and NOrec's extension analogue is the revalidation scan
-	// itself, already split by call site into the two classes above.
+	// AbortReasons classifies every abort at its site. NOrec can only
+	// produce a subset of the classes: ReadCertify (a moved sequence
+	// killed an execution-time revalidation, or the RO fast path hit a
+	// moved sequence past its first certified read), CommitValidation
+	// (the commit-time revalidation inside the sequence-CAS loop found an
+	// overwritten read), Budget and ExplicitRetry. LockBusy and Extension
+	// stay zero: a reader that meets the odd (locked) sequence spins
+	// rather than aborting, and NOrec's extension analogue is the
+	// revalidation scan itself, already split by call site into the two
+	// classes above.
 	AbortReasons AbortReasons
 }
 
-// AbortReasons is the per-class abort breakdown, field-compatible with
-// repro/stm's so the serving tier reports all engines uniformly. The
-// conflict classes partition Stats.Aborts minus budget refusals; Budget
-// equals Stats.BudgetAborts; ExplicitRetry counts user Retry signals
-// (parked waits, which are not in Stats.Aborts).
-type AbortReasons struct {
-	ReadCertify      uint64
-	CommitValidation uint64
-	LockBusy         uint64
-	Extension        uint64
-	Budget           uint64
-	ExplicitRetry    uint64
-}
-
-// Total sums every class.
-func (r AbortReasons) Total() uint64 {
-	return r.ReadCertify + r.CommitValidation + r.LockBusy + r.Extension + r.Budget + r.ExplicitRetry
-}
-
-// Sub returns the per-class deltas r - t.
-func (r AbortReasons) Sub(t AbortReasons) AbortReasons {
-	return AbortReasons{
-		ReadCertify:      r.ReadCertify - t.ReadCertify,
-		CommitValidation: r.CommitValidation - t.CommitValidation,
-		LockBusy:         r.LockBusy - t.LockBusy,
-		Extension:        r.Extension - t.Extension,
-		Budget:           r.Budget - t.Budget,
-		ExplicitRetry:    r.ExplicitRetry - t.ExplicitRetry,
-	}
-}
-
-// Map returns the breakdown keyed by the stable snake_case names the
-// serving tier and tmstat expose.
-func (r AbortReasons) Map() map[string]uint64 {
-	return map[string]uint64{
-		"read_certify":      r.ReadCertify,
-		"commit_validation": r.CommitValidation,
-		"lock_busy":         r.LockBusy,
-		"extension":         r.Extension,
-		"budget":            r.Budget,
-		"explicit_retry":    r.ExplicitRetry,
-	}
-}
+// AbortReasons is the per-class abort breakdown, one definition shared by
+// all three native engines and the serving tier (it aliases
+// internal/enginekit.AbortReasons, where each class is documented):
+// uint64 counters ReadCertify, CommitValidation, LockBusy, Extension,
+// Budget and ExplicitRetry, with Total, Sub and Map accessors (Map keys
+// are the stable snake_case names /stats and tmstat expose). The four
+// conflict classes partition Stats.Aborts minus budget refusals — each
+// failed attempt increments exactly one at the site that killed it —
+// Budget equals Stats.BudgetAborts, and ExplicitRetry counts user Retry
+// signals (parked waits are not in Stats.Aborts). Classes an engine
+// cannot produce stay zero.
+type AbortReasons = enginekit.AbortReasons
 
 // AbortRatio returns Aborts / (Commits + Aborts), or 0 for an empty
 // snapshot.
-func (s Stats) AbortRatio() float64 {
-	if s.Commits+s.Aborts == 0 {
-		return 0
-	}
-	return float64(s.Aborts) / float64(s.Commits+s.Aborts)
-}
+func (s Stats) AbortRatio() float64 { return enginekit.AbortRatio(s.Commits, s.Aborts) }
 
 // Sub returns the counter deltas s - t; use snapshots around a workload to
 // measure just that workload.
@@ -101,57 +68,24 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
-const statStripes = 16
-
-// Abort-reason indices into a statShard's reasons array; the order
-// matches the AbortReasons fields.
-const (
-	abortReadCertify = iota
-	abortCommitValidation
-	abortLockBusy
-	abortExtension
-	abortBudget
-	abortExplicitRetry
-	nAbortReasons
-)
-
 // statShard is one stripe of counters, padded so stripes do not
-// false-share: 5 named counters plus 6 reason counters is 11 words,
-// padded out to the 128-byte two-line target.
+// false-share: the kit's 10 shared counters plus revalidations is 11
+// words, padded out to the 128-byte two-line target.
 type statShard struct {
-	commits       atomic.Uint64
-	aborts        atomic.Uint64
-	budgetAborts  atomic.Uint64
-	roCommits     atomic.Uint64
+	enginekit.Counters
 	revalidations atomic.Uint64
-	reasons       [nAbortReasons]atomic.Uint64
 	_             [128 - 11*8]byte
 }
 
-var statShards [statStripes]statShard
-
-// statSeq hands out stripe indices to new descriptors.
-var statSeq atomic.Uint64
-
-func (tx *Tx) stat() *statShard { return &statShards[tx.shard&(statStripes-1)] }
+func (tx *Tx) stat() *statShard { return &kit.stripes[tx.k.Shard()&(enginekit.Stripes-1)] }
 
 // ReadStats sums the stripes into one snapshot; safe to call concurrently
 // with transactions (per-counter atomic, not a cross-counter cut).
 func ReadStats() Stats {
-	var s Stats
-	for i := range statShards {
-		sh := &statShards[i]
-		s.Commits += sh.commits.Load()
-		s.Aborts += sh.aborts.Load()
-		s.BudgetAborts += sh.budgetAborts.Load()
-		s.ROCommits += sh.roCommits.Load()
-		s.Revalidations += sh.revalidations.Load()
-		s.AbortReasons.ReadCertify += sh.reasons[abortReadCertify].Load()
-		s.AbortReasons.CommitValidation += sh.reasons[abortCommitValidation].Load()
-		s.AbortReasons.LockBusy += sh.reasons[abortLockBusy].Load()
-		s.AbortReasons.Extension += sh.reasons[abortExtension].Load()
-		s.AbortReasons.Budget += sh.reasons[abortBudget].Load()
-		s.AbortReasons.ExplicitRetry += sh.reasons[abortExplicitRetry].Load()
+	c := kit.Common()
+	s := Stats{Commits: c.Commits, ROCommits: c.ROCommits, Aborts: c.Aborts, BudgetAborts: c.BudgetAborts, AbortReasons: c.AbortReasons}
+	for i := range kit.stripes {
+		s.Revalidations += kit.stripes[i].revalidations.Load()
 	}
 	return s
 }

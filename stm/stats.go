@@ -1,6 +1,10 @@
 package stm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/enginekit"
+)
 
 // Stats is a snapshot of the engine-wide transaction counters. Counters
 // are maintained on padded per-descriptor stripes, so keeping them does
@@ -53,83 +57,22 @@ type Stats struct {
 	AbortReasons AbortReasons
 }
 
-// AbortReasons is the per-class abort breakdown shared (shape-wise) by
-// all three native engines; classes an engine cannot produce stay zero.
-// The conflict classes (everything but Budget and ExplicitRetry)
-// partition Stats.Aborts minus budget refusals: each failed attempt
-// increments exactly one of them at the site that killed it (see
-// ExplicitRetry for the one demotion corner that lands there instead).
-type AbortReasons struct {
-	// ReadCertify: a read could not be certified — the raced re-load
-	// bound was exceeded, or a stale version could not be covered on a
-	// path with nothing to revalidate (the RO fast path past its first
-	// read, a promotion demoted after certified-but-unlogged reads).
-	ReadCertify uint64
-	// CommitValidation: commit-time revalidation of the read set found
-	// an entry overwritten (or persistently foreign-locked) — the
-	// genuine write-after-read conflict class.
-	CommitValidation uint64
-	// LockBusy: the attempt died waiting on someone else's commit lock —
-	// a read hit a locked word, or commit could not acquire its own
-	// write locks.
-	LockBusy uint64
-	// Extension: a read-timestamp extension (or TicToc prior-entry
-	// sweep) found an invalidated entry and the attempt aborted.
-	Extension uint64
-	// Budget: the configured BudgetPolicy refused the work — equal to
-	// Stats.BudgetAborts. A refusal that lands on the retry charge of an
-	// attempt already counted under a conflict class adds a second
-	// reason to that single abort, so Total can slightly exceed
-	// Stats.Aborts under metering.
-	Budget uint64
-	// ExplicitRetry counts Retry signals from user code: parked waits
-	// (not in Stats.Aborts — the attempt sleeps instead of spinning),
-	// OrElse branches that fell through to their alternative, and the
-	// rare promoted-RO attempt a Retry demoted back to the full
-	// pipeline (that one is in Stats.Aborts). A blocked-queue workload
-	// shows up here, not in the conflict classes.
-	ExplicitRetry uint64
-}
-
-// Total sums every class (see Budget and ExplicitRetry for the two
-// classes that are not subsets of Stats.Aborts).
-func (r AbortReasons) Total() uint64 {
-	return r.ReadCertify + r.CommitValidation + r.LockBusy + r.Extension + r.Budget + r.ExplicitRetry
-}
-
-// Sub returns the per-class deltas r - t.
-func (r AbortReasons) Sub(t AbortReasons) AbortReasons {
-	return AbortReasons{
-		ReadCertify:      r.ReadCertify - t.ReadCertify,
-		CommitValidation: r.CommitValidation - t.CommitValidation,
-		LockBusy:         r.LockBusy - t.LockBusy,
-		Extension:        r.Extension - t.Extension,
-		Budget:           r.Budget - t.Budget,
-		ExplicitRetry:    r.ExplicitRetry - t.ExplicitRetry,
-	}
-}
-
-// Map returns the breakdown keyed by the stable snake_case names the
-// serving tier and tmstat expose.
-func (r AbortReasons) Map() map[string]uint64 {
-	return map[string]uint64{
-		"read_certify":      r.ReadCertify,
-		"commit_validation": r.CommitValidation,
-		"lock_busy":         r.LockBusy,
-		"extension":         r.Extension,
-		"budget":            r.Budget,
-		"explicit_retry":    r.ExplicitRetry,
-	}
-}
+// AbortReasons is the per-class abort breakdown, one definition shared by
+// all three native engines and the serving tier (it aliases
+// internal/enginekit.AbortReasons, where each class is documented):
+// uint64 counters ReadCertify, CommitValidation, LockBusy, Extension,
+// Budget and ExplicitRetry, with Total, Sub and Map accessors (Map keys
+// are the stable snake_case names /stats and tmstat expose). The four
+// conflict classes partition Stats.Aborts minus budget refusals — each
+// failed attempt increments exactly one at the site that killed it —
+// Budget equals Stats.BudgetAborts, and ExplicitRetry counts user Retry
+// signals (parked waits are not in Stats.Aborts). Classes an engine
+// cannot produce stay zero.
+type AbortReasons = enginekit.AbortReasons
 
 // AbortRatio returns Aborts / (Commits + Aborts), or 0 for an empty
 // snapshot.
-func (s Stats) AbortRatio() float64 {
-	if s.Commits+s.Aborts == 0 {
-		return 0
-	}
-	return float64(s.Aborts) / float64(s.Commits+s.Aborts)
-}
+func (s Stats) AbortRatio() float64 { return enginekit.AbortRatio(s.Commits, s.Aborts) }
 
 // Sub returns the counter deltas s - t; use snapshots around a workload to
 // measure just that workload.
@@ -149,72 +92,37 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
-// statStripes is the number of counter stripes; a power of two so stripe
-// selection is a mask.
-const statStripes = 16
-
-// Abort-reason indices into a statShard's reasons array. The array keeps
-// the per-class increment a single indexed Add on the descriptor's own
-// stripe — same discipline as the named counters, no new shared words.
-const (
-	abortReadCertify = iota
-	abortCommitValidation
-	abortLockBusy
-	abortExtension
-	abortBudget
-	abortExplicitRetry
-	nAbortReasons
-)
-
 // statShard is one stripe of counters, padded out to its own cache lines
-// so stripes do not false-share. The 10 named counters plus the 6 reason
-// counters fill the 128-byte two-line target exactly.
+// so stripes do not false-share. The kit's 10 shared counters plus the 6
+// protocol counters fill the 128-byte two-line target exactly.
 type statShard struct {
-	commits           atomic.Uint64
-	roCommits         atomic.Uint64
-	aborts            atomic.Uint64
-	budgetAborts      atomic.Uint64
+	enginekit.Counters
 	extensions        atomic.Uint64
 	extensionFailures atomic.Uint64
 	clockIncrements   atomic.Uint64
 	clockAdoptions    atomic.Uint64
 	clockBlockClaims  atomic.Uint64
 	rtsAdvances       atomic.Uint64
-	reasons           [nAbortReasons]atomic.Uint64
 	_                 [128 - 16*8]byte
 }
 
-var statShards [statStripes]statShard
-
-// statSeq hands out stripe indices (and GV6 PRNG seeds) to new descriptors.
-var statSeq atomic.Uint64
-
 // stat returns the descriptor's counter stripe.
-func (tx *Tx) stat() *statShard { return &statShards[tx.shard&(statStripes-1)] }
+func (tx *Tx) stat() *statShard { return &kit.stripes[tx.k.Shard()&(enginekit.Stripes-1)] }
 
 // ReadStats sums the stripes into one snapshot. It is safe to call
 // concurrently with transactions; the snapshot is per-counter atomic (not
 // a cross-counter consistent cut), which is what a monitoring read wants.
 func ReadStats() Stats {
-	var s Stats
-	for i := range statShards {
-		sh := &statShards[i]
-		s.Commits += sh.commits.Load()
-		s.ROCommits += sh.roCommits.Load()
-		s.Aborts += sh.aborts.Load()
-		s.BudgetAborts += sh.budgetAborts.Load()
+	c := kit.Common()
+	s := Stats{Commits: c.Commits, ROCommits: c.ROCommits, Aborts: c.Aborts, BudgetAborts: c.BudgetAborts, AbortReasons: c.AbortReasons}
+	for i := range kit.stripes {
+		sh := &kit.stripes[i]
 		s.Extensions += sh.extensions.Load()
 		s.ExtensionFailures += sh.extensionFailures.Load()
 		s.ClockIncrements += sh.clockIncrements.Load()
 		s.ClockAdoptions += sh.clockAdoptions.Load()
 		s.ClockBlockClaims += sh.clockBlockClaims.Load()
 		s.RTSAdvances += sh.rtsAdvances.Load()
-		s.AbortReasons.ReadCertify += sh.reasons[abortReadCertify].Load()
-		s.AbortReasons.CommitValidation += sh.reasons[abortCommitValidation].Load()
-		s.AbortReasons.LockBusy += sh.reasons[abortLockBusy].Load()
-		s.AbortReasons.Extension += sh.reasons[abortExtension].Load()
-		s.AbortReasons.Budget += sh.reasons[abortBudget].Load()
-		s.AbortReasons.ExplicitRetry += sh.reasons[abortExplicitRetry].Load()
 	}
 	return s
 }

@@ -80,16 +80,16 @@ package stm
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/enginekit"
 	"repro/internal/syncpoint"
 	"repro/internal/tm/lockword"
-	"repro/stm/budget"
 )
 
 // clock is the global version clock shared by all Vars (TL2's GV).
@@ -205,13 +205,6 @@ func (v *Var[T]) Load() T {
 	return v.current().val
 }
 
-// retrySignal aborts the current attempt; Atomically catches it.
-type retrySignal struct{}
-
-// waitSignal is panicked by Retry: the transaction re-runs only after one
-// of the variables it read has changed.
-type waitSignal struct{}
-
 // writeSetMapThreshold is the write-set size beyond which Tx switches from
 // a sorted-insert slice (cache-friendly, allocation-free once warm) to an
 // auxiliary map index (O(1) read-own-write lookup for large transactions).
@@ -241,11 +234,13 @@ type Tx struct {
 	// writeSetMapThreshold; below that, writes is kept sorted by Var id and
 	// searched by binary search. Nil while the slice is authoritative.
 	wmap map[varBase]int
-	// shard picks the descriptor's stats stripe; rng drives GV6 commit
-	// sampling. Both are assigned once per descriptor and survive reset,
-	// so pooled reuse keeps stripes and sampling phases spread out.
-	shard uint32
-	rng   uint64
+	// k is the engine kit's per-descriptor state: the stats stripe, the
+	// call's work-budget grant, latency sampling, and the test-only trace
+	// record and sync hook (see internal/enginekit). rng drives GV6 commit
+	// sampling; it is seeded once per descriptor and survives reset, so
+	// pooled reuse keeps sampling phases spread out.
+	k   enginekit.Desc
+	rng uint64
 	// ro marks the zero-validation read-only fast path (see AtomicallyRO):
 	// reads are certified against rv but never logged, writes are either a
 	// usage error (explicit AtomicallyRO) or demote the descriptor back to
@@ -258,15 +253,6 @@ type Tx struct {
 	promoted bool
 	demoted  bool
 	roReads  int
-	// metered/budgetLeft/costs are the call's work-budget grant, sampled
-	// once per Atomically call from the engine policy (see SetBudgetPolicy);
-	// budgetExceeded records exhaustion discovered where the engine could
-	// not panic (commit, retry charge). The grant survives reset: retries
-	// spend the same budget.
-	metered        bool
-	budgetExceeded bool
-	budgetLeft     uint64
-	costs          budget.Costs
 	// blockNext/blockEnd are the descriptor's cached GV7 tick block:
 	// blockNext is the next unstamped tick, blockEnd the block's last tick
 	// (inclusive); blockEnd == 0 means no block. The block survives reset
@@ -283,17 +269,6 @@ type Tx struct {
 	tt      bool
 	ttHi    uint64
 	ttFloor uint64
-	// latSeq drives commit-latency sampling (see SetLatencySampling):
-	// a descriptor-local sequence compared against latEvery's mask, so sampling
-	// adds no shared word. It survives reset and pool recycling, which
-	// spreads sampling phase across pooled descriptors.
-	latSeq uint32
-	// trec is the test-only trace record of the current attempt (nil
-	// outside tracing tests; see trace.go).
-	trec *traceTxn
-	// sync is the test-only scheduling hook of the current call (nil
-	// outside harness tests; see syncpoint.go).
-	sync func(syncpoint.Point)
 }
 
 type readEntry struct {
@@ -308,8 +283,9 @@ type writeEntry struct {
 }
 
 var txPool = sync.Pool{New: func() any {
-	s := statSeq.Add(1)
-	return &Tx{shard: uint32(s), rng: splitmix64(s)}
+	tx := &Tx{k: kit.NewDesc()}
+	tx.rng = splitmix64(uint64(tx.k.Shard()))
+	return tx
 }}
 
 // reset clears the read and write sets in place, keeping their backing
@@ -321,7 +297,6 @@ func (tx *Tx) reset() {
 	tx.writes = tx.writes[:0]
 	tx.wmap = nil // the slice is authoritative again below the threshold
 	tx.roReads = 0
-	tx.trec = nil
 }
 
 // release returns the descriptor to the pool with its backing arrays,
@@ -337,10 +312,6 @@ func (tx *Tx) release() {
 		tx.drainBlock()
 	}
 	txPool.Put(tx)
-}
-
-func (tx *Tx) abort() {
-	panic(retrySignal{})
 }
 
 // searchWrite binary-searches the sorted write set for v, returning the
@@ -383,12 +354,12 @@ func (tx *Tx) read(v varBase) boxRef {
 	if tx.tt {
 		return tx.ttRead(v)
 	}
-	if tx.metered {
-		tx.charge(tx.costs.Step)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step)
 	}
 	if i, ok := tx.findWrite(v); ok {
-		if tx.trec != nil {
-			tx.traceRead(v, tx.writes[i].box)
+		if tx.k.Tracing() {
+			tx.k.TraceRead(v, v.boxValue(tx.writes[i].box))
 		}
 		return tx.writes[i].box
 	}
@@ -400,14 +371,14 @@ func (tx *Tx) read(v varBase) boxRef {
 				// A commit raced between the word load and the value load;
 				// re-read (the new word is handled like any other state).
 				if attempt >= maxExtendAttempts {
-					tx.abortConflict(abortReadCertify, v)
+					tx.abortConflict(enginekit.ReadCertify, v)
 				}
 				continue
 			}
-			if tx.trec != nil {
-				tx.traceRead(v, b)
+			if tx.k.Tracing() {
+				tx.k.TraceRead(v, v.boxValue(b))
 			}
-			tx.syncAt(syncpoint.PostReadCertify)
+			tx.k.SyncAt(syncpoint.PostReadCertify)
 			// Skip duplicate read-set entries for recently read Vars.
 			// Soundness: a re-read of an already-recorded Var either sees
 			// the recorded version (≤ rv by the check above, and extension
@@ -419,17 +390,17 @@ func (tx *Tx) read(v varBase) boxRef {
 					return b
 				}
 			}
-			if tx.metered {
-				tx.charge(tx.costs.Read)
+			if tx.k.Metered() {
+				tx.k.Charge(tx.k.Costs.Read)
 			}
 			tx.reads = append(tx.reads, readEntry{v: v, ver: lockword.Version(w)})
 			return b
 		}
 		if lockword.Locked(w) {
-			tx.abortConflict(abortLockBusy, v) // mid-commit elsewhere; extension cannot see past a lock
+			tx.abortConflict(enginekit.LockBusy, v) // mid-commit elsewhere; extension cannot see past a lock
 		}
 		if attempt >= maxExtendAttempts {
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 		// The Var committed past our read version — the stale-clock case
 		// that plain TL2 aborts on. If no read has actually been
@@ -438,7 +409,7 @@ func (tx *Tx) read(v varBase) boxRef {
 		// clock), then revalidate and advance rv.
 		helpClock(lockword.Version(w))
 		if !tx.extend() {
-			tx.abortConflict(abortExtension, v)
+			tx.abortConflict(enginekit.Extension, v)
 		}
 	}
 }
@@ -454,8 +425,8 @@ func (tx *Tx) read(v varBase) boxRef {
 // version aborts the attempt, and the retry — whose fresh rv covers the
 // version thanks to helpClock below — replays it.
 func (tx *Tx) readRO(v varBase) boxRef {
-	if tx.metered {
-		tx.charge(tx.costs.Step + tx.costs.Read)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step + tx.k.Costs.Read)
 	}
 	for attempt := 0; ; attempt++ {
 		w := v.lockWord()
@@ -463,22 +434,22 @@ func (tx *Tx) readRO(v varBase) boxRef {
 			b := v.loadBox()
 			if v.lockWord() != w {
 				if attempt >= maxExtendAttempts {
-					tx.abortConflict(abortReadCertify, v)
+					tx.abortConflict(enginekit.ReadCertify, v)
 				}
 				continue
 			}
 			tx.roReads++
-			if tx.trec != nil {
-				tx.traceRead(v, b)
+			if tx.k.Tracing() {
+				tx.k.TraceRead(v, v.boxValue(b))
 			}
-			tx.syncAt(syncpoint.PostReadCertify)
+			tx.k.SyncAt(syncpoint.PostReadCertify)
 			return b
 		}
 		if lockword.Locked(w) {
-			tx.abortConflict(abortLockBusy, v) // mid-commit elsewhere; the RO path never waits it out
+			tx.abortConflict(enginekit.LockBusy, v) // mid-commit elsewhere; the RO path never waits it out
 		}
 		if attempt >= maxExtendAttempts {
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 		// Stale read version. Help the clock cover it first (under GV6
 		// versions run ahead of the clock), so that even if this attempt
@@ -486,7 +457,7 @@ func (tx *Tx) readRO(v varBase) boxRef {
 		// path's sequential-progress obligation under GV6.
 		helpClock(lockword.Version(w))
 		if tx.roReads > 0 || !extensionEnabled.Load() {
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 		tx.rv = clock.Load()
 		tx.stat().extensions.Add(1)
@@ -508,7 +479,7 @@ func (tx *Tx) extend() bool {
 	// The revalidation scan is engine work on the transaction's behalf:
 	// one step per read entry. extend runs lock-free, so a hard charge is
 	// safe, and a transaction stuck extending forever runs dry.
-	tx.charge(tx.costs.Step * uint64(len(tx.reads)))
+	tx.k.Charge(tx.k.Costs.Step * uint64(len(tx.reads)))
 	newRv := clock.Load()
 	for i := range tx.reads {
 		r := &tx.reads[i]
@@ -537,22 +508,22 @@ func (tx *Tx) write(v varBase, b boxRef) {
 		if tx.roReads > 0 {
 			// Certified-but-unlogged RO reads cannot be validated on the full
 			// pipeline; the restart is a read-certification casualty.
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 	}
-	if tx.metered {
-		tx.charge(tx.costs.Step)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step)
 	}
-	if tx.trec != nil {
-		tx.traceWrite(v, b)
+	if tx.k.Tracing() {
+		tx.k.TraceWrite(v, v.boxValue(b))
 	}
 	if tx.wmap != nil {
 		if i, ok := tx.wmap[v]; ok {
 			tx.writes[i].box = b
 			return
 		}
-		if tx.metered {
-			tx.charge(tx.costs.Write)
+		if tx.k.Metered() {
+			tx.k.Charge(tx.k.Costs.Write)
 		}
 		tx.wmap[v] = len(tx.writes)
 		tx.writes = append(tx.writes, writeEntry{v: v, box: b})
@@ -563,8 +534,8 @@ func (tx *Tx) write(v varBase, b boxRef) {
 		tx.writes[i].box = b
 		return
 	}
-	if tx.metered {
-		tx.charge(tx.costs.Write)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Write)
 	}
 	if len(tx.writes) >= writeSetMapThreshold {
 		// Promote: index the existing entries, then append unsorted (the
@@ -584,25 +555,30 @@ func (tx *Tx) write(v varBase, b boxRef) {
 	tx.writes[i] = writeEntry{v: v, box: b}
 }
 
-// snapshotWrites captures the write set (values included) so OrElse can
-// roll a blocked branch back, including overwrites of pre-branch writes.
-func (tx *Tx) snapshotWrites() ([]writeEntry, map[varBase]int) {
-	snap := append([]writeEntry(nil), tx.writes...)
-	var msnap map[varBase]int
-	if tx.wmap != nil {
-		msnap = make(map[varBase]int, len(tx.wmap))
-		for k, i := range tx.wmap {
-			msnap[k] = i
-		}
-	}
-	return snap, msnap
+// OrElse composes two transactional alternatives: it runs f, and if f
+// blocks via Retry, rolls back f's writes and runs g instead. If g also
+// blocks, the whole transaction waits (on the union of both branches'
+// read sets) and re-runs — the composable choice operator of Harris et
+// al.'s composable memory transactions.
+//
+// Only Retry falls through to g: a conflict abort restarts the entire
+// enclosing transaction, and an error returned by f is returned
+// immediately (with f's writes still buffered, exactly as if f's body had
+// been inlined).
+func (tx *Tx) OrElse(f, g func(*Tx) error) error {
+	return enginekit.OrElse(tx, f, g, tx.saveWrites)
 }
 
-// restoreWrites reinstates a snapshot taken by snapshotWrites.
-func (tx *Tx) restoreWrites(snap []writeEntry, msnap map[varBase]int) {
-	clear(tx.writes)
-	tx.writes = append(tx.writes[:0], snap...)
-	tx.wmap = msnap
+// saveWrites captures the write set (values included) and returns the
+// function that reinstates it, so OrElse can roll a blocked branch back,
+// including overwrites of pre-branch writes.
+func (tx *Tx) saveWrites() (restore func()) {
+	snap, msnap := slices.Clone(tx.writes), maps.Clone(tx.wmap)
+	return func() {
+		clear(tx.writes)
+		tx.writes = append(tx.writes[:0], snap...)
+		tx.wmap = msnap
+	}
 }
 
 // Retry aborts the transaction and blocks the retry until at least one
@@ -615,7 +591,7 @@ func (tx *Tx) Retry() {
 	if tx.ro {
 		if tx.promoted {
 			tx.ro, tx.promoted, tx.demoted = false, false, true
-			tx.abortConflict(abortExplicitRetry, nil)
+			tx.abortConflict(enginekit.ExplicitRetry, nil)
 		}
 		panic("stm: Retry inside AtomicallyRO would sleep forever (the read-only fast path records no read set to wait on)")
 	}
@@ -625,8 +601,8 @@ func (tx *Tx) Retry() {
 	// Taxonomy only: a parked Retry is not counted in Stats.Aborts (the
 	// attempt loop waits instead of spinning), but operators still want
 	// to see how much of the workload is blocking on state changes.
-	tx.stat().reasons[abortExplicitRetry].Add(1)
-	panic(waitSignal{})
+	tx.k.NoteAbort(enginekit.ExplicitRetry, 0)
+	panic(enginekit.WaitSignal{})
 }
 
 // ownsLock reports whether v is one of the variables this commit locked
@@ -686,12 +662,12 @@ func (tx *Tx) commit() bool {
 	// Price the commit-time validation scan before any lock is taken: the
 	// charge must not panic (and must not succeed-then-strand) while write
 	// locks are held, so exhaustion surfaces as a failed commit and the
-	// attempt loop translates budgetExceeded into ErrOutOfBudget.
-	if !tx.chargeSoft(tx.costs.Step * uint64(len(tx.reads))) {
+	// attempt loop turns the exhausted meter into ErrOutOfBudget.
+	if !tx.k.ChargeSoft(tx.k.Costs.Step * uint64(len(tx.reads))) {
 		return false
 	}
 	tx.sortWrites()
-	tx.syncAt(syncpoint.PreLock)
+	tx.k.SyncAt(syncpoint.PreLock)
 	locked := 0
 	for i := range tx.writes {
 		prev, ok := tx.writes[i].v.tryLock()
@@ -708,20 +684,20 @@ func (tx *Tx) commit() bool {
 	}
 	if locked != len(tx.writes) {
 		releaseLocked(locked)
-		tx.noteAbort(abortLockBusy, tx.writes[locked].v)
+		tx.noteAbort(enginekit.LockBusy, tx.writes[locked].v)
 		return false
 	}
-	tx.syncAt(syncpoint.PostLock)
-	tx.syncAt(syncpoint.PreClockStamp)
+	tx.k.SyncAt(syncpoint.PostLock)
+	tx.k.SyncAt(syncpoint.PreClockStamp)
 	wv, quiescent := tx.advanceClock()
 	if !quiescent {
 		if bad, ok := tx.validateCommit(); !ok {
 			releaseLocked(locked)
-			tx.noteAbort(abortCommitValidation, bad)
+			tx.noteAbort(enginekit.CommitValidation, bad)
 			return false
 		}
 	}
-	tx.syncAt(syncpoint.PrePublish)
+	tx.k.SyncAt(syncpoint.PrePublish)
 	for i := range tx.writes {
 		e := &tx.writes[i]
 		e.v.storeBox(e.box)
@@ -755,7 +731,7 @@ func (tx *Tx) sortWrites() {
 // version under the versioned strategies, the validity interval under
 // TicToc.
 func (tx *Tx) beginAttempt() {
-	tx.syncAt(syncpoint.Begin)
+	tx.k.SyncAt(syncpoint.Begin)
 	if tx.tt {
 		tx.ttBegin()
 		return
@@ -776,7 +752,7 @@ func (tx *Tx) beginAttempt() {
 // Transactions that are read-only by construction should call AtomicallyRO
 // directly and skip both the first full-pipeline attempt and the guess.
 func Atomically(fn func(tx *Tx) error) error {
-	return atomically(nil, fn)
+	return atomically(nil, fn, false)
 }
 
 // AtomicallyCtx is Atomically with a cancellation point: the context is
@@ -788,31 +764,40 @@ func Atomically(fn func(tx *Tx) error) error {
 // need a hard guarantee must check the return value, exactly as with
 // context-aware I/O.
 func AtomicallyCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return atomically(ctx, fn)
+	return atomically(ctx, fn, false)
 }
 
-// atomically is the shared retry loop behind Atomically and
-// AtomicallyCtx; a nil ctx (the plain entry point) costs one predictable
-// branch per attempt.
-func atomically(ctx context.Context, fn func(tx *Tx) error) error {
-	admitted()
+// AtomicallyRO runs fn as a read-only transaction, retrying until it
+// commits; returning a non-nil error aborts and returns it, as with
+// Atomically. The read-only fast path is TL2's zero-validation mode: each
+// read is certified against the attempt's read timestamp (one lock-word
+// load, one value load, one certifying re-load) and nothing is logged —
+// no read set, no commit-time locking, no validation — so an RO
+// transaction's cost is exactly its reads, allocation-free in steady
+// state. See DESIGN.md for the opacity argument.
+//
+// fn must not write: Set panics, and Retry panics since there is no
+// recorded read set to wait on. Use Atomically for transactions that may
+// write or need Retry.
+func AtomicallyRO(fn func(tx *Tx) error) error {
+	return atomically(nil, fn, true)
+}
+
+// AtomicallyROCtx is AtomicallyRO with a cancellation point, with the
+// same semantics as AtomicallyCtx: the context is checked before every
+// attempt, and a done context returns ctx.Err() after a clean abort.
+func AtomicallyROCtx(ctx context.Context, fn func(tx *Tx) error) error {
+	return atomically(ctx, fn, true)
+}
+
+// atomically is the one retry loop behind the four entry points; ro
+// starts the descriptor on the read-only fast path. A nil ctx (the plain
+// entry points) costs one predictable branch per attempt.
+func atomically(ctx context.Context, fn func(tx *Tx) error, ro bool) error {
 	tx := txPool.Get().(*Tx)
-	tx.ro, tx.promoted, tx.demoted = false, false, false
+	tx.ro, tx.promoted, tx.demoted = ro, false, false
 	tx.tt, tx.ttFloor = ClockStrategy(clockStrategy.Load()) == TicToc, 0
-	tx.sync = nil
-	if syncOn {
-		tx.sync = syncHook
-	}
-	tx.beginBudget()
-	// Commit-latency sampling (see SetLatencySampling): off = one atomic
-	// load and a branch; a sampled call pays one time.Now pair.
-	var latStart time.Time
-	if p := latEvery.Load(); p != 0 {
-		tx.latSeq++
-		if uint64(tx.latSeq)&(p-1) == 0 {
-			latStart = time.Now()
-		}
-	}
+	tx.k.Begin(!ro)
 	defer func() {
 		if r := recover(); r != nil {
 			// A panic escaping fn must not strand the pooled descriptor. No
@@ -831,46 +816,27 @@ func atomically(ctx context.Context, fn func(tx *Tx) error) error {
 		}
 		tx.reset()
 		tx.beginAttempt()
-		if traceOn {
-			tx.traceBegin()
-		}
-		err, ctl := runAttempt(tx, fn)
-		switch ctl {
-		case ctlOK:
-			if err != nil {
-				tx.traceEnd(false)
-				tx.release()
-				return err // user error: abort without retry
-			}
-			if tx.commit() {
-				tx.stat().commits.Add(1)
-				if tx.ro {
-					tx.stat().roCommits.Add(1)
-				}
-				if !latStart.IsZero() {
-					commitLatency.Observe(uint64(time.Since(latStart).Microseconds()))
-					attemptsPerCommit.Observe(uint64(attempt) + 1)
-				}
-				tx.traceEnd(true)
-				tx.release()
-				return nil
-			}
-			tx.stat().aborts.Add(1)
-			tx.traceEnd(false)
-			if tx.budgetExceeded {
-				return tx.budgetAbort()
-			}
-		case ctlRetryNow:
-			tx.stat().aborts.Add(1)
-			tx.traceEnd(false)
-		case ctlBudget:
-			tx.stat().aborts.Add(1)
-			tx.traceEnd(false)
-			return tx.budgetAbort()
-		case ctlRetryWait:
-			tx.traceEnd(false)
-			waitForChange(tx, ctx)
+		tx.k.TraceBegin()
+		err, ctl := enginekit.RunAttempt(tx, fn)
+		switch {
+		case ctl == enginekit.CtlRetryWait:
+			tx.k.TraceEnd(false)
+			tx.k.Park(ctx, tx.readsChanged)
 			continue // the wait already yielded; retry immediately
+		case ctl == enginekit.CtlOK && err != nil:
+			tx.k.TraceEnd(false)
+			tx.release()
+			return err // user error: abort without retry
+		case ctl == enginekit.CtlOK && tx.commit():
+			// (On the RO path commit has nothing to do: every read was
+			// certified against rv when it was performed, so the attempt is
+			// already a consistent snapshot.)
+			tx.k.Committed(attempt, tx.ro)
+			tx.release()
+			return nil
+		}
+		if tx.k.Failed(ctl) {
+			return tx.budgetAbort()
 		}
 		if !tx.ro && !tx.demoted && len(tx.writes) == 0 && len(tx.reads) > 0 {
 			// The aborted attempt looked read-only; guess that the retry is
@@ -880,176 +846,34 @@ func atomically(ctx context.Context, fn func(tx *Tx) error) error {
 		// The re-run is the resource a pathological conflict loop consumes;
 		// charge it before backoff so a metered transaction runs dry instead
 		// of retrying forever. (The failed attempt is already in aborts.)
-		if !tx.chargeSoft(tx.costs.Retry) {
+		if !tx.k.ChargeSoft(tx.k.Costs.Retry) {
 			return tx.budgetAbort()
 		}
 		backoff.Attempt(attempt)
 	}
 }
 
-// AtomicallyRO runs fn as a read-only transaction, retrying until it
-// commits; returning a non-nil error aborts and returns it, as with
-// Atomically. The read-only fast path is TL2's zero-validation mode: each
-// read is certified against the attempt's read timestamp (one lock-word
-// load, one value load, one certifying re-load) and nothing is logged —
-// no read set, no commit-time locking, no validation — so an RO
-// transaction's cost is exactly its reads, allocation-free in steady
-// state. See DESIGN.md for the opacity argument.
-//
-// fn must not write: Set panics, and Retry panics since there is no
-// recorded read set to wait on. Use Atomically for transactions that may
-// write or need Retry.
-func AtomicallyRO(fn func(tx *Tx) error) error {
-	return atomicallyRO(nil, fn)
-}
-
-// AtomicallyROCtx is AtomicallyRO with a cancellation point, with the
-// same semantics as AtomicallyCtx: the context is checked before every
-// attempt, and a done context returns ctx.Err() after a clean abort.
-func AtomicallyROCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return atomicallyRO(ctx, fn)
-}
-
-// atomicallyRO is the shared retry loop behind AtomicallyRO and
-// AtomicallyROCtx.
-func atomicallyRO(ctx context.Context, fn func(tx *Tx) error) error {
-	tx := txPool.Get().(*Tx)
-	tx.ro, tx.promoted, tx.demoted = true, false, false
-	tx.tt, tx.ttFloor = ClockStrategy(clockStrategy.Load()) == TicToc, 0
-	tx.sync = nil
-	if syncOn {
-		tx.sync = syncHook
-	}
-	tx.beginBudget()
-	var latStart time.Time
-	if p := latEvery.Load(); p != 0 {
-		tx.latSeq++
-		if uint64(tx.latSeq)&(p-1) == 0 {
-			latStart = time.Now()
+// readsChanged is the predicate a parked Retry waits on: some variable in
+// the read set has a version newer than the one read. Each probe is a
+// single atomic load of the lock word (no pointer chase through the value
+// snapshot).
+func (tx *Tx) readsChanged() bool {
+	for i := range tx.reads {
+		r := &tx.reads[i]
+		cur := lockword.Version(r.v.lockWord())
+		if tx.tt {
+			// A TicToc read entry logs the full (wts,rts) payload, but
+			// only a wts change means a new committed value: foreign
+			// readers advance rts by CAS without publishing anything,
+			// and waking on that would re-run the sleeper for nothing.
+			if ttWts(cur) != ttWts(r.ver) {
+				return true
+			}
+		} else if cur != r.ver {
+			return true
 		}
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			// As in atomically: recycle the descriptor under a user panic.
-			tx.release()
-			panic(r)
-		}
-	}()
-	for attempt := 0; ; attempt++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				tx.release()
-				return err
-			}
-		}
-		tx.reset()
-		tx.beginAttempt()
-		if traceOn {
-			tx.traceBegin()
-		}
-		err, ctl := runAttempt(tx, fn)
-		if ctl == ctlOK {
-			// Nothing to commit: every read was certified against rv when it
-			// was performed, so the attempt is already a consistent snapshot.
-			if err != nil {
-				tx.traceEnd(false)
-				tx.release()
-				return err // user error: abort without retry
-			}
-			tx.stat().commits.Add(1)
-			tx.stat().roCommits.Add(1)
-			if !latStart.IsZero() {
-				commitLatency.Observe(uint64(time.Since(latStart).Microseconds()))
-				attemptsPerCommit.Observe(uint64(attempt) + 1)
-			}
-			tx.traceEnd(true)
-			tx.release()
-			return nil
-		}
-		// ctlRetryWait is impossible here (Retry panics on the RO path).
-		tx.stat().aborts.Add(1)
-		tx.traceEnd(false)
-		if ctl == ctlBudget {
-			return tx.budgetAbort()
-		}
-		if !tx.chargeSoft(tx.costs.Retry) {
-			return tx.budgetAbort()
-		}
-		backoff.Attempt(attempt)
-	}
-}
-
-type ctlKind int
-
-const (
-	ctlOK ctlKind = iota
-	ctlRetryNow
-	ctlRetryWait
-	ctlBudget
-)
-
-// runAttempt executes one attempt of fn, translating the panic-based abort
-// signals into control flow. Unknown panics propagate.
-func runAttempt(tx *Tx, fn func(tx *Tx) error) (err error, ctl ctlKind) {
-	defer func() {
-		switch r := recover(); r.(type) {
-		case nil:
-		case retrySignal:
-			ctl = ctlRetryNow
-		case waitSignal:
-			ctl = ctlRetryWait
-		case budgetSignal:
-			ctl = ctlBudget
-		default:
-			panic(r)
-		}
-	}()
-	return fn(tx), ctlOK
-}
-
-// waitForChange blocks until some variable in the transaction's read set
-// has a version newer than the one read, or until ctx (if any) is done —
-// the caller's loop turns that into a clean cancellation abort. Each
-// probe is a single atomic load of the lock word (no pointer chase
-// through the value snapshot), and the poll interval backs off
-// exponentially so long waits cost almost nothing.
-func waitForChange(tx *Tx, ctx context.Context) {
-	for spins := 0; ; spins++ {
-		for i := range tx.reads {
-			r := &tx.reads[i]
-			cur := lockword.Version(r.v.lockWord())
-			if tx.tt {
-				// A TicToc read entry logs the full (wts,rts) payload, but
-				// only a wts change means a new committed value: foreign
-				// readers advance rts by CAS without publishing anything,
-				// and waking on that would re-run the sleeper for nothing.
-				if ttWts(cur) != ttWts(r.ver) {
-					return
-				}
-			} else if cur != r.ver {
-				return
-			}
-		}
-		if ctx != nil && ctx.Err() != nil {
-			return
-		}
-		if tx.sync != nil {
-			// Under the harness a sleeping worker would stall the whole
-			// schedule: hand control back instead, so the policy can grant
-			// the writer this wait is waiting for.
-			tx.sync(syncpoint.SpinWait)
-			continue
-		}
-		if spins < 4 {
-			runtime.Gosched()
-		} else {
-			d := time.Microsecond << uint(min(spins-4, 10))
-			if d > time.Millisecond {
-				d = time.Millisecond
-			}
-			time.Sleep(d)
-		}
-	}
+	return false
 }
 
 // Sanity check that Var implements varBase.

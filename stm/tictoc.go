@@ -40,6 +40,7 @@ package stm
 // adversarial interleavings through the trace hook and internal/check.
 
 import (
+	"repro/internal/enginekit"
 	"repro/internal/syncpoint"
 	"repro/internal/tm/lockword"
 )
@@ -104,7 +105,7 @@ func (tx *Tx) ttAdvanceVar(v varBase, target uint64) bool {
 // interval becomes [floor, min rts over entries] and every previously
 // returned value is valid there.
 func (tx *Tx) ttAdvancePriors(floor uint64) bool {
-	tx.charge(tx.costs.Step * uint64(len(tx.reads)))
+	tx.k.Charge(tx.k.Costs.Step * uint64(len(tx.reads)))
 	hi := ttInitHi
 	for i := range tx.reads {
 		r := &tx.reads[i]
@@ -136,25 +137,25 @@ func (tx *Tx) ttAdvancePriors(floor uint64) bool {
 // transaction's running intersection, repairing rts (the Var's or the
 // priors') when the intersection would go empty.
 func (tx *Tx) ttRead(v varBase) boxRef {
-	if tx.metered {
-		tx.charge(tx.costs.Step)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step)
 	}
 	if i, ok := tx.findWrite(v); ok {
-		if tx.trec != nil {
-			tx.traceRead(v, tx.writes[i].box)
+		if tx.k.Tracing() {
+			tx.k.TraceRead(v, v.boxValue(tx.writes[i].box))
 		}
 		return tx.writes[i].box
 	}
 	for attempt := 0; ; attempt++ {
 		w := v.lockWord()
 		if lockword.Locked(w) {
-			tx.abortConflict(abortLockBusy, v) // mid-commit elsewhere
+			tx.abortConflict(enginekit.LockBusy, v) // mid-commit elsewhere
 		}
 		pl := lockword.Version(w)
 		b := v.loadBox()
 		if v.lockWord() != w {
 			if attempt >= maxExtendAttempts {
-				tx.abortConflict(abortReadCertify, v)
+				tx.abortConflict(enginekit.ReadCertify, v)
 			}
 			continue
 		}
@@ -167,25 +168,25 @@ func (tx *Tx) ttRead(v varBase) boxRef {
 			hi = rts
 		}
 		if lo <= hi {
-			if tx.trec != nil {
-				tx.traceRead(v, b)
+			if tx.k.Tracing() {
+				tx.k.TraceRead(v, v.boxValue(b))
 			}
-			tx.syncAt(syncpoint.PostReadCertify)
+			tx.k.SyncAt(syncpoint.PostReadCertify)
 			for i, n := len(tx.reads)-1, len(tx.reads)-readDedupWindow; i >= 0 && i >= n; i-- {
 				if tx.reads[i].v == v {
 					tx.rv, tx.ttHi = lo, hi
 					return b
 				}
 			}
-			if tx.metered {
-				tx.charge(tx.costs.Read)
+			if tx.k.Metered() {
+				tx.k.Charge(tx.k.Costs.Read)
 			}
 			tx.reads = append(tx.reads, readEntry{v: v, ver: pl})
 			tx.rv, tx.ttHi = lo, hi
 			return b
 		}
 		if attempt >= maxExtendAttempts {
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 		// Empty intersection. Exactly one of the two repairs applies (rts ≥
 		// wts and ttHi ≥ tx.rv rule out both at once).
@@ -193,10 +194,10 @@ func (tx *Tx) ttRead(v varBase) boxRef {
 			// This version was installed past our interval: raise the floor,
 			// sweeping the prior entries' rts forward.
 			if !tx.ttAdvancePriors(wts) {
-				tx.abortConflict(abortExtension, v)
+				tx.abortConflict(enginekit.Extension, v)
 			}
 		} else if !tx.ttAdvanceVar(v, tx.rv) {
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 	}
 }
@@ -209,19 +210,19 @@ func (tx *Tx) ttRead(v varBase) boxRef {
 // a re-begin, exactly like the RO path's extension rule under the
 // versioned strategies.
 func (tx *Tx) ttReadRO(v varBase) boxRef {
-	if tx.metered {
-		tx.charge(tx.costs.Step + tx.costs.Read)
+	if tx.k.Metered() {
+		tx.k.Charge(tx.k.Costs.Step + tx.k.Costs.Read)
 	}
 	for attempt := 0; ; attempt++ {
 		w := v.lockWord()
 		if lockword.Locked(w) {
-			tx.abortConflict(abortLockBusy, v)
+			tx.abortConflict(enginekit.LockBusy, v)
 		}
 		pl := lockword.Version(w)
 		b := v.loadBox()
 		if v.lockWord() != w {
 			if attempt >= maxExtendAttempts {
-				tx.abortConflict(abortReadCertify, v)
+				tx.abortConflict(enginekit.ReadCertify, v)
 			}
 			continue
 		}
@@ -236,35 +237,35 @@ func (tx *Tx) ttReadRO(v varBase) boxRef {
 		if lo <= hi {
 			tx.rv, tx.ttHi = lo, hi
 			tx.roReads++
-			if tx.trec != nil {
-				tx.traceRead(v, b)
+			if tx.k.Tracing() {
+				tx.k.TraceRead(v, v.boxValue(b))
 			}
-			tx.syncAt(syncpoint.PostReadCertify)
+			tx.k.SyncAt(syncpoint.PostReadCertify)
 			return b
 		}
 		if attempt >= maxExtendAttempts {
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 		if wts > tx.ttHi {
 			if tx.roReads > 0 {
 				// Seed the retry's floor at the version that outran us, so the
 				// replay advances stale rts values instead of re-aborting.
 				tx.ttFloor = wts
-				tx.abortConflict(abortReadCertify, v)
+				tx.abortConflict(enginekit.ReadCertify, v)
 			}
 			// No certified reads yet: adopting the version's own interval is
 			// a re-begin, exactly like readRO's first-read extension.
 			tx.rv, tx.ttHi = wts, rts
 			tx.roReads++
 			tx.stat().extensions.Add(1)
-			if tx.trec != nil {
-				tx.traceRead(v, b)
+			if tx.k.Tracing() {
+				tx.k.TraceRead(v, v.boxValue(b))
 			}
-			tx.syncAt(syncpoint.PostReadCertify)
+			tx.k.SyncAt(syncpoint.PostReadCertify)
 			return b
 		}
 		if !tx.ttAdvanceVar(v, tx.rv) {
-			tx.abortConflict(abortReadCertify, v)
+			tx.abortConflict(enginekit.ReadCertify, v)
 		}
 	}
 }
@@ -280,11 +281,11 @@ func (tx *Tx) ttCommit() bool {
 		// point, with nothing to publish and nothing to advance.
 		return true
 	}
-	if !tx.chargeSoft(tx.costs.Step * uint64(len(tx.reads))) {
+	if !tx.k.ChargeSoft(tx.k.Costs.Step * uint64(len(tx.reads))) {
 		return false
 	}
 	tx.sortWrites()
-	tx.syncAt(syncpoint.PreLock)
+	tx.k.SyncAt(syncpoint.PreLock)
 	locked := 0
 	for i := range tx.writes {
 		prev, ok := tx.writes[i].v.tryLock()
@@ -301,15 +302,15 @@ func (tx *Tx) ttCommit() bool {
 	}
 	if locked != len(tx.writes) {
 		releaseLocked(locked)
-		tx.noteAbort(abortLockBusy, tx.writes[locked].v)
+		tx.noteAbort(enginekit.LockBusy, tx.writes[locked].v)
 		return false
 	}
-	tx.syncAt(syncpoint.PostLock)
+	tx.k.SyncAt(syncpoint.PostLock)
 	// Serialization point: above the floor of our own reads, and above
 	// every certified read of the versions we overwrite (their rts, read
 	// from the locked payloads, can no longer advance). Under TicToc the
 	// cts selection is the clock stamp.
-	tx.syncAt(syncpoint.PreClockStamp)
+	tx.k.SyncAt(syncpoint.PreClockStamp)
 	cts := tx.rv
 	for i := range tx.writes {
 		if r := ttRts(tx.writes[i].prev) + 1; r > cts {
@@ -331,7 +332,7 @@ func (tx *Tx) ttCommit() bool {
 			// serializes at cts⁻ with no rts advance needed.
 			if ttWts(tx.writes[j].prev) != ttWts(r.ver) {
 				releaseLocked(locked)
-				tx.noteAbort(abortCommitValidation, r.v)
+				tx.noteAbort(enginekit.CommitValidation, r.v)
 				return false
 			}
 			continue
@@ -340,16 +341,16 @@ func (tx *Tx) ttCommit() bool {
 		pl := lockword.Version(w)
 		if lockword.Locked(w) || ttWts(pl) != ttWts(r.ver) {
 			releaseLocked(locked)
-			tx.noteAbort(abortCommitValidation, r.v)
+			tx.noteAbort(enginekit.CommitValidation, r.v)
 			return false
 		}
 		if ttRts(pl) < cts && !tx.ttAdvanceVar(r.v, cts) {
 			releaseLocked(locked)
-			tx.noteAbort(abortCommitValidation, r.v)
+			tx.noteAbort(enginekit.CommitValidation, r.v)
 			return false
 		}
 	}
-	tx.syncAt(syncpoint.PrePublish)
+	tx.k.SyncAt(syncpoint.PrePublish)
 	newPl := ttPack(cts, cts)
 	for i := range tx.writes {
 		e := &tx.writes[i]
