@@ -8,7 +8,7 @@ GO ?= go
 # PR names the committed perf-baseline label: bench-baseline writes
 # BENCH_$(PR).json and bench-diff/bench-gate read it. Override per PR
 # line (make bench-baseline PR=PR9) instead of hand-editing the recipes.
-PR ?= PR15
+PR ?= PR17
 BASELINE = BENCH_$(PR).json
 
 # -cpu 4 pins the GOMAXPROCS≥4 regime the contention benchmarks target;

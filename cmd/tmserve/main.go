@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"time"
 
 	"repro/internal/server"
 )
@@ -63,7 +64,20 @@ func main() {
 	}
 	log.Printf("tmserve: engine=%s shards=%d addr=%s rate-per-ip=%g profile=%d latency-sample=%d pprof=%v",
 		o.engine, o.shards, *addr, o.ratePerIP, o.profileK, o.latencySample, o.pprof)
-	log.Fatal(http.ListenAndServe(*addr, mount(srv, o.pprof)))
+	log.Fatal(newHTTPServer(*addr, mount(srv, o.pprof)).ListenAndServe())
+}
+
+// newHTTPServer bounds how long a client may hold a connection without
+// finishing a request: a stalled header, a trickled body and an idle
+// keep-alive each close it. No WriteTimeout: pprof profiles stream for 30 s.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // build constructs the server from flag values.

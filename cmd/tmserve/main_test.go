@@ -3,10 +3,12 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestBuildRejectsBadEngine(t *testing.T) {
@@ -15,6 +17,41 @@ func TestBuildRejectsBadEngine(t *testing.T) {
 	}
 	if _, err := build(options{shards: -1, engine: "stm"}); err == nil {
 		t.Fatal("negative shard count accepted")
+	}
+}
+
+// TestStalledHeaderIsDisconnected: a client that opens a connection and
+// stops mid-header must be cut off by the server, not held forever (the
+// slow-loris shape; a bare http.ListenAndServe never closes it).
+func TestStalledHeaderIsDisconnected(t *testing.T) {
+	srv, err := build(options{shards: 1, engine: "stm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(ln.Addr().String(), mount(srv, false))
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("unbounded connection phase: header %v, read %v, idle %v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	go hs.Serve(ln) // returns ErrServerClosed at the Close below
+	defer hs.Close()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, "GET /healthz HTTP/1.1\r\nHost: stalled"); err != nil {
+		t.Fatal(err)
+	}
+	const grace = 3 * time.Second
+	if err := c.SetReadDeadline(time.Now().Add(hs.ReadHeaderTimeout + grace)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("stalled connection not closed within %v: read %d bytes, err %v", hs.ReadHeaderTimeout+grace, n, err)
 	}
 }
 

@@ -28,10 +28,10 @@ package enginekit
 // before (see mvstm's pin).
 //
 // Limitations (acceptable for a test oracle): traced values must be int
-// or uint64 (tm.Value is uint64, and container internals — slices, nodes
-// — have no encoding), and OrElse is unsupported, since a rolled-back
-// branch's writes would stay in the trace. Tracing allocates freely; it
-// measures correctness, never performance.
+// or uint64 (tm.Value is uint64; stm traces an OrderedMap link as its
+// node's address, other container internals have no encoding), and OrElse
+// is unsupported, since a rolled-back branch's writes would stay in the
+// trace. Tracing allocates freely; it measures correctness, never performance.
 
 import (
 	"fmt"

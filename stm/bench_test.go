@@ -410,6 +410,19 @@ func BenchmarkOrderedMapDisjointPut(b *testing.B) {
 	b.ReportMetric(d.AbortRatio(), "abort-ratio")
 }
 
+// BenchmarkOrderedMapFootprint records the space half of the container's
+// cost — heap bytes and heap objects per stored key at serve_point's key
+// and value shapes, strings included — so the BENCH_*.json trajectory
+// carries it beside ns/op. Hardware-free, like allocs/op.
+func BenchmarkOrderedMapFootprint(b *testing.B) {
+	var bytes, objects float64
+	for i := 0; i < b.N; i++ {
+		bytes, objects = stm.OrderedMapFootprint(20_000)
+	}
+	b.ReportMetric(bytes, "B/key")
+	b.ReportMetric(objects, "objects/key")
+}
+
 // BenchmarkOrderedMapSnapshotRange measures the non-transactional ordered
 // scan against the transactional one: the snapshot path never enters the
 // engine, so it must be allocation-free and abort-free no matter how hot

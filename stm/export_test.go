@@ -45,6 +45,10 @@ func IsPromoted(tx *Tx) bool { return tx.promoted }
 // keys of the fuzz keyspace).
 func KeyTowerHeight(key string) int { return towerHeight(omHash(key)) }
 
+// OrderedMapFootprint exposes the heap cost of a stored key (see
+// orderedmap_internal_test.go) to BenchmarkOrderedMapFootprint.
+func OrderedMapFootprint(n int) (bytesPerKey, objectsPerKey float64) { return orderedMapFootprint(n) }
+
 // VarLocked reports whether v's versioned lock word currently has the
 // lock bit set; the budget and panic-safety tests assert every abort path
 // leaves it clear.

@@ -14,11 +14,12 @@ import (
 //
 // Structure. Every node carries an immutable key, a Var holding the value
 // (so point updates of a present key touch no links), and a tower of
-// forward-pointer Vars. Pointers at different levels are distinct Vars, so
-// transactions conflict only on the links they actually cross. The element
-// count is striped across several Vars (indexed by key hash), as in Map,
-// so inserts and deletes of disjoint keys do not collide on a shared
-// counter.
+// forward links, each a box-free ref, in one allocation. Links at different
+// levels are distinct variables, so transactions conflict only on the links
+// they actually cross (DESIGN.md, "The ordered map", counts the heap
+// objects and loads). The element count is striped across several Vars
+// (indexed by key hash), as in Map, so inserts and deletes of disjoint keys
+// do not collide on a shared counter.
 //
 // Tower heights are deterministic: height(key) is derived from the key's
 // hash, not from a random source, so there is no math/rand (and no shared
@@ -33,7 +34,7 @@ import (
 // transaction and never abort.
 type OrderedMap[V any] struct {
 	// head[i] points to the first node whose tower reaches level i.
-	head  [omMaxLevel]*Var[*omNode[V]]
+	head  [omMaxLevel]ref[omNode[V]]
 	sizes []*Var[int]
 	// height is an upper bound on the tallest tower ever linked (raised
 	// before a tall node can be published, never lowered). Descents start
@@ -51,14 +52,14 @@ type OrderedMap[V any] struct {
 	labelPrefix atomic.Pointer[string]
 }
 
-// omNode is one skiplist node. key is immutable; val is a Var, so
-// replacing the value of a present key conflicts only with readers of that
-// key, not with the links around it; next[i] for i below the tower height
-// is the forward pointer at level i.
+// omNode is one skiplist node. key is immutable; val is a Var (embedded by
+// value), so replacing the value of a present key conflicts only with
+// readers of that key, not with the links around it; next is the tower,
+// one allocation of height links, next[i] the forward pointer at level i.
 type omNode[V any] struct {
 	key  string
-	val  *Var[V]
-	next []*Var[*omNode[V]]
+	val  Var[V]
+	next []ref[omNode[V]]
 }
 
 // omMaxLevel caps tower heights; 2^omMaxLevel ≈ 1M entries keep the
@@ -72,7 +73,7 @@ const omSizeStripes = 16
 func NewOrderedMap[V any]() *OrderedMap[V] {
 	m := &OrderedMap[V]{sizes: make([]*Var[int], omSizeStripes)}
 	for i := range m.head {
-		m.head[i] = NewVar[*omNode[V]](nil)
+		m.head[i].init(nil)
 	}
 	for i := range m.sizes {
 		m.sizes[i] = NewVar(0)
@@ -135,24 +136,24 @@ func (m *OrderedMap[V]) sizeStripeFor(h uint64) *Var[int] {
 	return m.sizes[h%uint64(len(m.sizes))]
 }
 
-// link returns node's pointer Var at level i, with node == nil standing
-// for the head tower.
-func (m *OrderedMap[V]) link(node *omNode[V], i int) *Var[*omNode[V]] {
+// link returns node's link at level i, with node == nil standing for the
+// head tower. The result points into the tower (or the map) itself.
+func (m *OrderedMap[V]) link(node *omNode[V], i int) *ref[omNode[V]] {
 	if node == nil {
-		return m.head[i]
+		return &m.head[i]
 	}
-	return node.next[i]
+	return &node.next[i]
 }
 
 // findPreds walks the skiplist top-down inside tx, filling preds[i] with
-// the pointer Var whose successor at level i is the first node with key ≥
+// the link whose successor at level i is the first node with key ≥
 // key. It returns that first level-0 node (nil if every key is smaller).
-// The walk reads O(log n) expected Vars, all recorded in tx's read set, so
+// The walk reads O(log n) expected links, all recorded in tx's read set, so
 // a committed change to any crossed link aborts — or extends — the
 // transaction like any other conflicting read. Descending a level is free:
 // the predecessor node reached at level i has a tower of height > i, so
 // its level i-1 pointer exists.
-func (m *OrderedMap[V]) findPreds(tx *Tx, key string, preds *[omMaxLevel]*Var[*omNode[V]]) *omNode[V] {
+func (m *OrderedMap[V]) findPreds(tx *Tx, key string, preds *[omMaxLevel]*ref[omNode[V]]) *omNode[V] {
 	var pred *omNode[V] // nil = head
 	var next *omNode[V]
 	for i := m.top() - 1; i >= 0; i-- {
@@ -160,7 +161,7 @@ func (m *OrderedMap[V]) findPreds(tx *Tx, key string, preds *[omMaxLevel]*Var[*o
 		n := p.Get(tx)
 		for n != nil && n.key < key {
 			pred = n
-			p = n.next[i]
+			p = &n.next[i]
 			n = p.Get(tx)
 		}
 		preds[i] = p
@@ -213,17 +214,15 @@ func (m *OrderedMap[V]) Put(tx *Tx, key string, val V) {
 	// could publish the tower. (If the key turns out to be present, or the
 	// transaction aborts, the stale-high bound is harmless.)
 	m.bumpHeight(height)
-	var preds [omMaxLevel]*Var[*omNode[V]]
+	var preds [omMaxLevel]*ref[omNode[V]]
 	n := m.findPreds(tx, key, &preds)
 	if n != nil && n.key == key {
 		n.val.Set(tx, val)
 		return
 	}
-	node := &omNode[V]{
-		key:  key,
-		val:  NewVar(val),
-		next: make([]*Var[*omNode[V]], height),
-	}
+	node := &omNode[V]{key: key, next: make([]ref[omNode[V]], height)}
+	node.val.init(val)
+	tx.traceInit(&node.val)
 	if p := m.labelPrefix.Load(); p != nil {
 		// Label even if this insert later aborts: a re-run creates a fresh
 		// node (and relabels), and a stale registry entry for an
@@ -234,7 +233,8 @@ func (m *OrderedMap[V]) Put(tx *Tx, key string, val V) {
 		// The successor at level i is whatever preds[i] pointed to when we
 		// read it; preds[i] is in the read set, so if a concurrent commit
 		// moves it the transaction cannot commit with the stale link.
-		node.next[i] = NewVar(preds[i].Get(tx))
+		node.next[i].init(preds[i].Get(tx))
+		tx.traceInit(&node.next[i])
 		preds[i].Set(tx, node)
 	}
 	s := m.sizeStripeFor(h)
@@ -252,7 +252,7 @@ func (m *OrderedMap[V]) Delete(tx *Tx, key string) bool {
 	// concurrently published tall node could be found by a walk that
 	// started below its top, leaving preds unfilled at its upper levels.
 	m.bumpHeight(towerHeight(h))
-	var preds [omMaxLevel]*Var[*omNode[V]]
+	var preds [omMaxLevel]*ref[omNode[V]]
 	n := m.findPreds(tx, key, &preds)
 	if n == nil || n.key != key {
 		return false
@@ -342,33 +342,31 @@ func (m *OrderedMap[V]) SnapshotLen() int {
 	return n
 }
 
-// SnapshotGet returns the value for key without running a transaction. The
-// traversal reads each link as a consistent single-Var snapshot; it never
-// conflicts with writers.
-func (m *OrderedMap[V]) SnapshotGet(key string) (V, bool) {
+// snapSeek is seek for the non-transactional paths: each link is loaded
+// as a consistent single-variable snapshot.
+func (m *OrderedMap[V]) snapSeek(key string) *omNode[V] {
 	var pred *omNode[V]
 	var next *omNode[V]
 	for i := m.top() - 1; i >= 0; i-- {
-		n := m.snapLink(pred, i)
+		n := m.link(pred, i).Load()
 		for n != nil && n.key < key {
 			pred = n
 			n = n.next[i].Load()
 		}
 		next = n
 	}
-	if next != nil && next.key == key {
-		return next.val.Load(), true
+	return next
+}
+
+// SnapshotGet returns the value for key without running a transaction. The
+// traversal reads each link as a consistent single-Var snapshot; it never
+// conflicts with writers.
+func (m *OrderedMap[V]) SnapshotGet(key string) (V, bool) {
+	if n := m.snapSeek(key); n != nil && n.key == key {
+		return n.val.Load(), true
 	}
 	var zero V
 	return zero, false
-}
-
-// snapLink is link for the non-transactional paths.
-func (m *OrderedMap[V]) snapLink(node *omNode[V], i int) *omNode[V] {
-	if node == nil {
-		return m.head[i].Load()
-	}
-	return node.next[i].Load()
 }
 
 // SnapshotRange calls f in ascending key order for every entry with from ≤
@@ -380,17 +378,7 @@ func (m *OrderedMap[V]) snapLink(node *omNode[V], i int) *omNode[V] {
 // iteration). Use Range inside a transaction when a fully consistent view
 // is required.
 func (m *OrderedMap[V]) SnapshotRange(from, to string, f func(key string, val V) bool) {
-	var pred *omNode[V]
-	var next *omNode[V]
-	for i := m.top() - 1; i >= 0; i-- {
-		n := m.snapLink(pred, i)
-		for n != nil && n.key < from {
-			pred = n
-			n = n.next[i].Load()
-		}
-		next = n
-	}
-	for n := next; n != nil; n = n.next[0].Load() {
+	for n := m.snapSeek(from); n != nil; n = n.next[0].Load() {
 		if to != "" && n.key >= to {
 			return
 		}

@@ -24,7 +24,8 @@
 // are pooled and their read/write sets are recycled across attempts and
 // calls, so a read-only transaction performs zero heap allocations, and a
 // write costs exactly one: the typed value snapshot Set allocates is the
-// one commit publishes (see box).
+// one commit publishes (see box). A container's link write costs none: the
+// node pointer it publishes is the snapshot (see ref).
 //
 // # Read-only fast path
 //
@@ -85,6 +86,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/backoff"
 	"repro/internal/enginekit"
@@ -113,11 +115,11 @@ type box[T any] struct {
 }
 
 // varBase is the type-erased interface Tx uses to manage heterogeneous
-// Vars in one transaction. casWord exists for TicToc's rts advances — the
-// one place a reader mutates a lock word it does not hold.
+// variables (Var, ref) in one transaction. casWord exists for TicToc's rts
+// advances — the one place a reader mutates a lock word it does not hold.
 //
-// Value snapshots cross this interface as boxRef: the Var's own *box[T]
-// held in an interface. A pointer is stored in the interface word
+// Value snapshots cross this interface as boxRef: the variable's snapshot
+// pointer held in an interface. A pointer is stored in the interface word
 // directly, so neither direction allocates and the descriptor never sees
 // T. boxValue is the any view of a snapshot's value, for the trace hook
 // only.
@@ -132,38 +134,30 @@ type varBase interface {
 	boxValue(boxRef) any
 }
 
-// boxRef is a *box[T] for the T of the Var it came from or is headed to.
+// boxRef is a Var[T]'s *box[T], or a ref[N]'s *N itself.
 type boxRef any
 
-// Var is a transactional variable holding a value of type T.
-// The zero Var is not ready for use; create Vars with NewVar.
-type Var[T any] struct {
-	vid   uint64
-	lw    atomic.Uint64 // versioned lock word (see package comment)
-	state atomic.Pointer[box[T]]
+// varHead is what every variable kind shares and all the protocol touches
+// besides the snapshot: the id that orders commit locks, and the lock word.
+type varHead struct {
+	vid uint64
+	lw  atomic.Uint64 // versioned lock word (see package comment)
 }
 
-// NewVar creates a transactional variable with the given initial value.
-func NewVar[T any](initial T) *Var[T] {
-	v := &Var[T]{vid: varIDs.Add(1)}
-	v.state.Store(&box[T]{val: initial})
-	return v
-}
-
-func (v *Var[T]) id() uint64       { return v.vid }
-func (v *Var[T]) lockWord() uint64 { return v.lw.Load() }
+func (h *varHead) id() uint64       { return h.vid }
+func (h *varHead) lockWord() uint64 { return h.lw.Load() }
 
 // casWord CASes the raw lock word (TicToc rts advance).
-func (v *Var[T]) casWord(old, new uint64) bool { return v.lw.CompareAndSwap(old, new) }
+func (h *varHead) casWord(old, new uint64) bool { return h.lw.CompareAndSwap(old, new) }
 
 // tryLock sets the lock bit, preserving the version, and returns the
 // pre-lock version so a failed commit can restore the word exactly.
-func (v *Var[T]) tryLock() (uint64, bool) {
-	w := v.lw.Load()
+func (h *varHead) tryLock() (uint64, bool) {
+	w := h.lw.Load()
 	if lockword.Locked(w) {
 		return 0, false
 	}
-	if !v.lw.CompareAndSwap(w, lockword.Lock(w)) {
+	if !h.lw.CompareAndSwap(w, lockword.Lock(w)) {
 		return 0, false
 	}
 	return lockword.Version(w), true
@@ -171,7 +165,27 @@ func (v *Var[T]) tryLock() (uint64, bool) {
 
 // unlock releases the word, publishing ver (the old version after a failed
 // commit, the new write version after a successful one) in the same store.
-func (v *Var[T]) unlock(ver uint64) { v.lw.Store(lockword.Unlocked(ver)) }
+func (h *varHead) unlock(ver uint64) { h.lw.Store(lockword.Unlocked(ver)) }
+
+// Var is a transactional variable holding a value of type T.
+// The zero Var is not ready for use; create Vars with NewVar.
+type Var[T any] struct {
+	varHead
+	state atomic.Pointer[box[T]]
+}
+
+// NewVar creates a transactional variable with the given initial value.
+func NewVar[T any](initial T) *Var[T] {
+	v := new(Var[T])
+	v.init(initial)
+	return v
+}
+
+// init readies a Var in place, for containers that embed one by value.
+func (v *Var[T]) init(initial T) {
+	v.vid = varIDs.Add(1)
+	v.state.Store(&box[T]{val: initial})
+}
 
 // current returns the published snapshot.
 func (v *Var[T]) current() *box[T] {
@@ -185,6 +199,31 @@ func (v *Var[T]) current() *box[T] {
 func (v *Var[T]) loadBox() boxRef       { return v.current() }
 func (v *Var[T]) storeBox(b boxRef)     { v.state.Store(b.(*box[T])) }
 func (v *Var[T]) boxValue(b boxRef) any { return b.(*box[T]).val }
+
+// ref is the variable kind containers use for links: a transactional
+// pointer to an immutable node. The published *N is itself the snapshot —
+// already the immutable pointer a box exists to provide — so a link has no
+// box, Set allocates nothing, and a hop is two dependent loads (ref, node).
+// Refs live inline in their container (a tower is one []ref), readied in
+// place by init; to the protocol a ref is a varBase like any Var.
+type ref[N any] struct {
+	varHead
+	p atomic.Pointer[N]
+}
+
+func (r *ref[N]) init(n *N) {
+	r.vid = varIDs.Add(1)
+	r.p.Store(n)
+}
+
+func (r *ref[N]) loadBox() boxRef   { return r.p.Load() }
+func (r *ref[N]) storeBox(b boxRef) { r.p.Store(b.(*N)) }
+func (r *ref[N]) Get(tx *Tx) *N     { return tx.read(r).(*N) }
+func (r *ref[N]) Set(tx *Tx, n *N)  { tx.write(r, n) }
+func (r *ref[N]) Load() *N          { return r.p.Load() }
+
+// boxValue traces a link by pointer identity (nil is 0, the oracle's initial value).
+func (r *ref[N]) boxValue(b boxRef) any { return uint64(uintptr(unsafe.Pointer(b.(*N)))) }
 
 // Get reads the variable inside a transaction. On conflict it aborts the
 // transaction (Atomically retries automatically).
@@ -230,10 +269,10 @@ type Tx struct {
 	rv     uint64
 	reads  []readEntry
 	writes []writeEntry
-	// wmap indexes writes by Var once the write set outgrows
-	// writeSetMapThreshold; below that, writes is kept sorted by Var id and
-	// searched by binary search. Nil while the slice is authoritative.
-	wmap map[varBase]int
+	// wmap indexes writes by Var id (unique, so id equality is identity) once
+	// the write set outgrows writeSetMapThreshold; below that, writes is kept
+	// sorted by Var id and binary-searched. Nil while the slice is authoritative.
+	wmap map[uint64]int
 	// k is the engine kit's per-descriptor state: the stats stripe, the
 	// call's work-budget grant, latency sampling, and the test-only trace
 	// record and sync hook (see internal/enginekit). rng drives GV6 commit
@@ -336,7 +375,7 @@ func (tx *Tx) findWrite(v varBase) (int, bool) {
 		return 0, false
 	}
 	if tx.wmap != nil {
-		i, ok := tx.wmap[v]
+		i, ok := tx.wmap[v.id()]
 		return i, ok
 	}
 	return tx.searchWrite(v)
@@ -517,19 +556,7 @@ func (tx *Tx) write(v varBase, b boxRef) {
 	if tx.k.Tracing() {
 		tx.k.TraceWrite(v, v.boxValue(b))
 	}
-	if tx.wmap != nil {
-		if i, ok := tx.wmap[v]; ok {
-			tx.writes[i].box = b
-			return
-		}
-		if tx.k.Metered() {
-			tx.k.Charge(tx.k.Costs.Write)
-		}
-		tx.wmap[v] = len(tx.writes)
-		tx.writes = append(tx.writes, writeEntry{v: v, box: b})
-		return
-	}
-	i, found := tx.searchWrite(v)
+	i, found := tx.findWrite(v)
 	if found {
 		tx.writes[i].box = b
 		return
@@ -537,14 +564,16 @@ func (tx *Tx) write(v varBase, b boxRef) {
 	if tx.k.Metered() {
 		tx.k.Charge(tx.k.Costs.Write)
 	}
-	if len(tx.writes) >= writeSetMapThreshold {
-		// Promote: index the existing entries, then append unsorted (the
-		// commit re-establishes the lock order with one sort).
-		tx.wmap = make(map[varBase]int, 2*writeSetMapThreshold)
+	if tx.wmap == nil && len(tx.writes) >= writeSetMapThreshold {
+		// Promote: index the existing entries; from here on writes append
+		// unsorted (the commit re-establishes the lock order with one sort).
+		tx.wmap = make(map[uint64]int, 2*writeSetMapThreshold)
 		for j := range tx.writes {
-			tx.wmap[tx.writes[j].v] = j
+			tx.wmap[tx.writes[j].v.id()] = j
 		}
-		tx.wmap[v] = len(tx.writes)
+	}
+	if tx.wmap != nil {
+		tx.wmap[v.id()] = len(tx.writes)
 		tx.writes = append(tx.writes, writeEntry{v: v, box: b})
 		return
 	}
@@ -553,6 +582,15 @@ func (tx *Tx) write(v varBase, b boxRef) {
 	tx.writes = append(tx.writes, writeEntry{})
 	copy(tx.writes[i+1:], tx.writes[i:])
 	tx.writes[i] = writeEntry{v: v, box: b}
+}
+
+// traceInit records the construction-time value of a variable built inside
+// tx as tx's write: it becomes reachable only if tx commits, which is all
+// the history oracle (initial values are 0) can tell a write by.
+func (tx *Tx) traceInit(v varBase) {
+	if tx.k.Tracing() {
+		tx.k.TraceWrite(v, v.boxValue(v.loadBox()))
+	}
 }
 
 // OrElse composes two transactional alternatives: it runs f, and if f

@@ -376,6 +376,91 @@ func TestTraceOpacityAllPipelines(t *testing.T) {
 	}
 }
 
+// TestTraceOpacityOrderedMap puts the link variable kind (ref) through the
+// oracle: writers insert and delete key pairs, readers Range on the full
+// and the read-only path, and every link read and write is in the history
+// with the node's address as its value (a fresh node's construction-time
+// links and value are traced as the inserting attempt's writes — they
+// become reachable only if it commits). Run under GV4+extension and under
+// TicToc, where a reader advances a link's rts by casWord on the ref.
+func TestTraceOpacityOrderedMap(t *testing.T) {
+	for _, pl := range tracePipelines {
+		if pl.name != "gv4+ext" && pl.name != "tictoc" {
+			continue
+		}
+		t.Run(pl.name, func(t *testing.T) {
+			defer setTracePipeline(pl.strat, pl.ext)()
+			m := stm.NewOrderedMap[int]()
+			before := stm.ReadStats()
+			stm.StartTrace()
+			pairSum := func(tx *stm.Tx) error {
+				n := 0
+				m.Range(tx, "", "", func(_ string, v int) bool { n += v; return true })
+				if n%2 != 0 {
+					t.Errorf("Range saw half of a pair: values sum to %d", n)
+				}
+				return nil
+			}
+			// Two sequential commits leave links of different ages behind,
+			// so under TicToc the first Range has an rts to advance.
+			for _, k := range []string{"a", "m"} {
+				_ = stm.Atomically(func(tx *stm.Tx) error { m.Put(tx, k, 2); return nil })
+			}
+			_ = stm.AtomicallyRO(pairSum)
+			var wg sync.WaitGroup
+			for w, keys := range [][2]string{{"b", "y"}, {"c", "x"}} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = stm.Atomically(func(tx *stm.Tx) error {
+						m.Put(tx, keys[0], 1+2*w)
+						m.Put(tx, keys[1], 1+2*w)
+						return nil
+					})
+					_ = stm.Atomically(func(tx *stm.Tx) error {
+						m.Delete(tx, keys[0])
+						m.Delete(tx, keys[1])
+						return nil
+					})
+				}()
+			}
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				_ = stm.Atomically(pairSum)
+			}()
+			go func() {
+				defer wg.Done()
+				_ = stm.AtomicallyRO(pairSum)
+			}()
+			wg.Wait()
+			h := stm.StopTrace()
+			verifyHistory(t, h)
+			const heapAddr = 1 << 16 // no traced int comes near; every node address is above
+			var linkReads, linkWrites int
+			for _, rec := range h.Txns {
+				for _, op := range rec.Ops {
+					switch {
+					case op.Kind == tm.OpRead && op.Value > heapAddr:
+						linkReads++
+					case op.Kind == tm.OpWrite && op.Value > heapAddr:
+						linkWrites++
+					}
+				}
+			}
+			if linkReads == 0 || linkWrites == 0 {
+				t.Errorf("history has %d link reads and %d link writes, want both:\n%s", linkReads, linkWrites, h)
+			}
+			if d := stm.ReadStats().Sub(before); pl.strat == stm.TicToc && d.RTSAdvances == 0 {
+				t.Errorf("stats delta = %+v, want an rts advance on a link", d)
+			}
+			if got := m.SnapshotLen(); got != 2 {
+				t.Errorf("final length %d, want 2", got)
+			}
+		})
+	}
+}
+
 // TestTraceOrElseUnsupported pins the trace hook's documented OrElse
 // limitation (stm/trace.go "Limitations"): writes are recorded at
 // invocation time, so a branch that Retry-rolls-back leaves its buffered

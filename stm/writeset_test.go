@@ -238,7 +238,10 @@ func TestWideTxKeepsItsSetsWarm(t *testing.T) {
 // box Set allocates is the one commit publishes, so a committed Set is
 // exactly one allocation whatever T is, and a Get none. (A string, or an
 // int64 past the runtime's small-value cache, costs a second allocation
-// when the value crosses the write set as an interface.)
+// when the value crosses the write set as an interface.) The writes that
+// cost none are a container's link writes: a ref publishes the node
+// pointer itself, so an OrderedMap insert or delete allocates nothing per
+// link (TestLinkWritesAllocateNothing pins that side).
 func TestSetAllocatesOneBox(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
