@@ -6,7 +6,8 @@
 GO ?= go
 
 # PR names the committed perf-baseline label: bench-baseline writes
-# BENCH_$(PR).json and bench-diff/bench-gate read it. Override per PR
+# BENCH_$(PR).json and bench-diff/bench-delta/bench-gate read it — the one
+# place the baseline is named (CI calls bench-delta). Override per PR
 # line (make bench-baseline PR=PR9) instead of hand-editing the recipes.
 PR ?= PR17
 BASELINE = BENCH_$(PR).json
@@ -51,7 +52,7 @@ E8_PKGS = . ./stm ./internal/server
 # pressure).
 ZEROALLOC = E11NativeScan/.*writers=1/engine=mvstm|BenchmarkROFastPath|BenchmarkHandlerGet
 
-.PHONY: test race loc server-test bench-smoke bench-e8 bench-baseline bench-diff bench-gate bench-scaling fuzz-smoke overhead-smoke docs-check
+.PHONY: test race loc server-test bench-smoke bench-e8 bench-baseline bench-diff bench-delta bench-gate bench-scaling fuzz-smoke overhead-smoke docs-check
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -96,7 +97,7 @@ bench-e8:
 # result so later PRs have a trajectory to compare against.
 bench-baseline:
 	$(GO) test $(E8_FLAGS) $(E8_PKGS) | tee bench_e8.txt
-	$(GO) run ./cmd/benchjson -in bench_e8.txt -label $(PR) \
+	$(GO) run ./cmd/benchdiff -record -new bench_e8.txt -label $(PR) \
 	  -command "go test $(E8_FLAGS) $(E8_PKGS)" -out $(BASELINE)
 
 # bench-diff compares a fresh E8 run against the committed baseline;
@@ -104,6 +105,14 @@ bench-baseline:
 bench-diff:
 	$(GO) test $(E8_FLAGS) $(E8_PKGS) > bench_new.txt
 	$(GO) run ./cmd/benchdiff -baseline $(BASELINE) -new bench_new.txt
+
+# bench-delta is the CI job's report: an existing bench_e8.txt (from
+# bench-e8) against the committed baseline, restricted to the units that
+# mean the same on any machine — the baseline was recorded on different
+# hardware, so ns/op is left out.
+PORTABLE_UNITS = abort-ratio,allocs/op,B/key,objects/key,extensions/txn,ro-commit-fraction,read-aborts/op
+bench-delta:
+	$(GO) run ./cmd/benchdiff -baseline $(BASELINE) -new bench_e8.txt -units '$(PORTABLE_UNITS)'
 
 # bench-gate is the enforcing variant: passing -threshold makes benchdiff
 # exit non-zero when an ns/op regression survives its noise calibrations

@@ -43,23 +43,31 @@
 // goroutine freezing the mvstm epoch floor mid-run) pollutes only some
 // runs and must not flake the gate.
 //
+// Passing -record makes it the other half of the same job: instead of
+// comparing, it aggregates the -new input (one record per benchmark,
+// mean/min/max per metric over the -count runs) and writes it as the
+// baseline JSON a later run compares against (`make bench-baseline`).
+//
 // Usage:
 //
 //	benchdiff -baseline BENCH_PR4.json -new bench_new.txt
 //	benchdiff -baseline BENCH_PR4.json -new bench_new.txt -threshold 0.15
 //	benchdiff -baseline BENCH_PR7.json -new bench_new.txt -zeroalloc 'E11NativeScan/tm=mvstm'
 //	go test -bench ... ./... | benchdiff -baseline BENCH_PR4.json
+//	benchdiff -record -new bench_e8.txt -label PR18 -command "go test -bench ..." -out BENCH_PR18.json
 //
-// The -new input may be raw `go test -bench` text or a benchjson file.
+// The -new input may be raw `go test -bench` text or a recorded baseline.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -69,10 +77,14 @@ import (
 
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_PR4.json", "committed baseline JSON")
-	newPath := flag.String("new", "", "new bench output: raw `go test -bench` text or benchjson JSON (default stdin)")
+	newPath := flag.String("new", "", "new bench output: raw `go test -bench` text or a recorded baseline (default stdin)")
 	units := flag.String("units", "ns/op,abort-ratio", "comma-separated metric units to compare (empty = all)")
 	threshold := flag.Float64("threshold", 0.05, "relative change below which a row is reported as a wash; when passed explicitly, also the gate: ns/op regressions above it exit non-zero")
 	zeroalloc := flag.String("zeroalloc", "", "regexp of new-result benchmarks that must report exactly 0 allocs/op (requires -benchmem output); violations exit non-zero")
+	record := flag.Bool("record", false, "write the -new results as a baseline JSON to -out instead of comparing")
+	label := flag.String("label", "", "with -record: the baseline label stored in the file (e.g. PR18)")
+	command := flag.String("command", "", "with -record: the benchmark command, stored for reproducibility")
+	out := flag.String("out", "", "with -record: the baseline file to write (default stdout)")
 	flag.Parse()
 	gate := false
 	flag.Visit(func(f *flag.Flag) {
@@ -89,15 +101,8 @@ func main() {
 		wash = 0.05
 	}
 
-	oldData, err := os.ReadFile(*baselinePath)
-	if err != nil {
-		fatal(err)
-	}
-	oldB, err := benchfmt.Load(oldData)
-	if err != nil {
-		fatal(fmt.Errorf("baseline %s: %w", *baselinePath, err))
-	}
 	var newData []byte
+	var err error
 	if *newPath == "" {
 		newData, err = io.ReadAll(os.Stdin)
 	} else {
@@ -109,6 +114,20 @@ func main() {
 	newB, err := benchfmt.Load(newData)
 	if err != nil {
 		fatal(fmt.Errorf("new results: %w", err))
+	}
+	if *record {
+		if err := writeBaseline(newB, *label, *command, *out); err != nil {
+			fatal(err)
+		}
+		return
+	}
+	oldData, err := os.ReadFile(*baselinePath)
+	if err != nil {
+		fatal(err)
+	}
+	oldB, err := benchfmt.Load(oldData)
+	if err != nil {
+		fatal(fmt.Errorf("baseline %s: %w", *baselinePath, err))
 	}
 
 	var unitList []string
@@ -214,6 +233,29 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// writeBaseline stamps b with the label, the command and the toolchain
+// that produced it and writes it to path (stdout when empty) as the JSON
+// a later benchdiff run loads as -baseline.
+func writeBaseline(b *benchfmt.Baseline, label, command, path string) error {
+	b.Label, b.Command, b.Go = label, command, runtime.Version()
+	if b.GOOS == "" {
+		b.GOOS = runtime.GOOS
+	}
+	if b.GOARCH == "" {
+		b.GOARCH = runtime.GOARCH
+	}
+	enc, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return err
+	}
+	enc = append(enc, '\n')
+	if path == "" {
+		_, err = os.Stdout.Write(enc)
+		return err
+	}
+	return os.WriteFile(path, enc, 0o644)
 }
 
 // checkZeroAlloc returns one line per new-result benchmark that matches

@@ -9,7 +9,6 @@
 //	tmload -shards 1,2,4,8 -clients 32 -keys 1000000 -ops 200000
 //	tmload -url http://host:8080 -clients 64
 //	tmload -smoke                      # CI-sized run
-//	tmload -smoke -json BENCH_load.json  # also record a benchfmt baseline
 //	tmload -url http://host:8080 -batch 16 -zipf 1.4
 //	                                   # contention shape: fat RMW
 //	                                   # transactions on hot keys
@@ -25,14 +24,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/benchfmt"
 	"repro/internal/server"
 )
 
@@ -50,7 +47,6 @@ type config struct {
 	batch   int     // keys per transfer batch (paired ±1 add ops)
 	preload int     // puts per preload batch
 	seed    int64
-	jsonOut string // non-empty: also write a benchfmt baseline here ("-" = stdout)
 }
 
 func main() {
@@ -68,7 +64,6 @@ func main() {
 		batch   = flag.Int("batch", 2, "keys per transfer batch (read-modify-write adds, paired -1/+1)")
 		seed    = flag.Int64("seed", 1, "workload RNG seed")
 		smoke   = flag.Bool("smoke", false, "tiny CI-sized run (overrides sizes)")
-		jsonOut = flag.String("json", "", "also write results as a BENCH_*.json-compatible baseline to this path (\"-\" = stdout)")
 	)
 	flag.Parse()
 	cfg := config{
@@ -84,7 +79,6 @@ func main() {
 		batch:   *batch,
 		preload: 500,
 		seed:    *seed,
-		jsonOut: *jsonOut,
 	}
 	for _, f := range strings.Split(*shards, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
@@ -132,73 +126,28 @@ func runLoad(cfg config, out io.Writer) error {
 			r.label, r.opsSec, r.p50.Microseconds(), r.p95.Microseconds(), r.p99.Microseconds(), r.errors)
 	}
 
-	var rows []row
 	if cfg.url != "" {
 		r, err := runOne(cfg.url, "remote", cfg)
 		if err != nil {
 			return err
 		}
 		emit(r)
-		rows = append(rows, r)
-	} else {
-		for _, n := range cfg.shards {
-			srv, err := server.New(server.Config{Shards: n, Engine: cfg.engine})
-			if err != nil {
-				return err
-			}
-			ts := httptest.NewServer(srv.Handler())
-			r, err := runOne(ts.URL, strconv.Itoa(n), cfg)
-			ts.Close()
-			if err != nil {
-				return err
-			}
-			emit(r)
-			rows = append(rows, r)
-		}
+		return nil
 	}
-	if cfg.jsonOut != "" {
-		return writeBaseline(cfg, rows, out)
+	for _, n := range cfg.shards {
+		srv, err := server.New(server.Config{Shards: n, Engine: cfg.engine})
+		if err != nil {
+			return err
+		}
+		ts := httptest.NewServer(srv.Handler())
+		r, err := runOne(ts.URL, strconv.Itoa(n), cfg)
+		ts.Close()
+		if err != nil {
+			return err
+		}
+		emit(r)
 	}
 	return nil
-}
-
-// writeBaseline records the sweep as a benchfmt.Baseline — the exact
-// layout of the committed BENCH_PRn.json files — so cmd/benchdiff can
-// compare serving-tier runs the same way it compares engine microbench
-// baselines.
-func writeBaseline(cfg config, rows []row, out io.Writer) error {
-	base := &benchfmt.Baseline{
-		Label:      "tmload",
-		Go:         runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Command:    strings.Join(os.Args, " "),
-		Benchmarks: map[string]benchfmt.Bench{},
-	}
-	point := func(v float64) benchfmt.Metric { return benchfmt.Metric{Mean: v, Min: v, Max: v} }
-	for _, r := range rows {
-		base.Benchmarks["repro/cmd/tmload.Load/engine="+cfg.engine+"/shards="+r.label] = benchfmt.Bench{
-			Runs:  1,
-			Iters: int64(cfg.ops),
-			Metrics: map[string]benchfmt.Metric{
-				"ops/s":  point(r.opsSec),
-				"p50-us": point(float64(r.p50.Microseconds())),
-				"p95-us": point(float64(r.p95.Microseconds())),
-				"p99-us": point(float64(r.p99.Microseconds())),
-				"errors": point(float64(r.errors)),
-			},
-		}
-	}
-	data, err := json.MarshalIndent(base, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if cfg.jsonOut == "-" {
-		_, err = out.Write(data)
-		return err
-	}
-	return os.WriteFile(cfg.jsonOut, data, 0o644)
 }
 
 // runOne preloads the keyspace and drives one closed-loop run.

@@ -3,12 +3,8 @@ package main
 import (
 	"bytes"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/benchfmt"
 )
 
 // TestRunLoadSmoke drives the full generator — preload, mixed workload,
@@ -49,54 +45,6 @@ func TestRunLoadSmoke(t *testing.T) {
 				t.Fatalf("table contains NaN:\n%s", got)
 			}
 		})
-	}
-}
-
-// TestRunLoadJSONBaseline: -json must emit a record benchfmt.Load can
-// read back — the BENCH_*.json compatibility contract.
-func TestRunLoadJSONBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	cfg := config{
-		shards:  []int{1, 2},
-		engine:  "stm",
-		clients: 2,
-		keys:    500,
-		ops:     500,
-		read:    0.90,
-		scan:    0.05,
-		scanLen: 10,
-		zipf:    1.1,
-		preload: 250,
-		seed:    1,
-		jsonOut: path,
-	}
-	var out bytes.Buffer
-	if err := runLoad(cfg, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := benchfmt.Load(data)
-	if err != nil {
-		t.Fatalf("benchfmt cannot read the baseline back: %v", err)
-	}
-	if len(base.Benchmarks) != 2 {
-		t.Fatalf("baseline has %d benchmarks, want 2: %v", len(base.Benchmarks), base.Benchmarks)
-	}
-	for name, b := range base.Benchmarks {
-		if !strings.Contains(name, "shards=") {
-			t.Fatalf("benchmark name %q missing shards label", name)
-		}
-		for _, unit := range []string{"ops/s", "p50-us", "p95-us", "p99-us", "errors"} {
-			if _, ok := b.Metrics[unit]; !ok {
-				t.Fatalf("benchmark %s missing unit %q", name, unit)
-			}
-		}
-		if b.Metrics["ops/s"].Mean <= 0 {
-			t.Fatalf("benchmark %s: non-positive ops/s", name)
-		}
 	}
 }
 

@@ -18,52 +18,22 @@ import (
 )
 
 func main() {
-	ns := []int{2, 4, 8, 16, 32}
-	const k = 4
+	p := ptm.DefaultParams() // n = 2..32, k = 4 acquisitions per process, every cache model
+	p.Locks = []string{"lm:irtm", "lm:norec", "lm:sgltm", "tas", "ttas", "ticket", "anderson", "mcs", "clh", "bakery", "tournament"}
 
 	fmt.Println("Theorem 9: any strictly serializable, strongly progressive TM using")
 	fmt.Println("read/write/conditional primitives on one t-object has executions with")
 	fmt.Println("Ω(n log n) RMRs — proved by the reduction L(M) below (Algorithm 1).")
 	fmt.Println()
-
-	for _, model := range ptm.CacheModels() {
-		t := ptm.Table{
-			Title:  fmt.Sprintf("model=%s, k=%d acquisitions/process", model, k),
-			Header: []string{"lock", "n", "total-rmrs", "rmrs/acq", "nk·log2(n)"},
-		}
-		for _, lock := range []string{"lm:irtm", "lm:norec", "lm:sgltm", "tas", "ttas", "ticket", "anderson", "mcs", "clh", "bakery", "tournament"} {
-			rows, err := ptm.RunE3(lock, model, ns, k, 42)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, r := range rows {
-				if r.Violations != 0 {
-					log.Fatalf("%s: mutual exclusion violated!", lock)
-				}
-				t.Add(r.Lock, r.N, r.TotalRMRs, r.PerAcq, r.NLogN)
-			}
-		}
-		ptm.PrintTable(os.Stdout, &t)
+	if err := ptm.RunExperiment(os.Stdout, "e3", p); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Println("Theorem 7: L(M)'s RMR cost is the TM's cost plus O(1) hand-off per")
 	fmt.Println("acquisition. Measured split:")
 	fmt.Println()
-	for _, model := range ptm.CacheModels() {
-		t := ptm.Table{
-			Title:  "L(M) RMR split, model=" + model,
-			Header: []string{"lock", "n", "tm-rmrs", "handoff-rmrs", "handoff/acq"},
-		}
-		for _, lock := range []string{"lm:irtm", "lm:norec", "lm:sgltm"} {
-			rows, err := ptm.RunE4(lock, model, ns, k, 42)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, r := range rows {
-				t.Add(r.Lock, r.N, r.TMRMRs, r.HandoffRMRs, r.HandoffPerAcq)
-			}
-		}
-		ptm.PrintTable(os.Stdout, &t)
+	if err := ptm.RunExperiment(os.Stdout, "e4", p); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println(strings.Repeat("-", 60))
 	fmt.Println("Note the hand-off column staying flat as n grows (Theorem 7's O(1)),")

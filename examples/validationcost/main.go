@@ -1,13 +1,15 @@
-// validationcost: the Theorem 3 demo. Runs the Lemma-2 adversary against
-// every TM algorithm on the instrumented simulator and prints the reader's
-// step counts next to the theorem's m(m−1)/2 prediction, showing
+// validationcost: the Theorem 3 demo. Prints where each TM algorithm sits
+// in the theorem's hypothesis space, then runs a read-only transaction of
+// m reads on the instrumented simulator — solo, and against the Lemma-2
+// adversary — and prints the reader's step counts next to the theorem's
+// m(m−1)/2 prediction, showing
 //
-//   - the invisible-read weak-DAP TM (irtm) paying exactly the quadratic
-//     validation bill,
+//   - the invisible-read weak-DAP TMs (irtm, dstm) paying exactly the
+//     quadratic validation bill,
 //   - TL2 paying it in abort-restarts instead of validation,
 //   - NOrec paying it in value revalidation, and
 //   - the TMs that violate a hypothesis of the theorem (visible reads,
-//     multi-versioning) staying linear.
+//     multi-versioning, blocking) staying linear.
 //
 // Run with: go run ./examples/validationcost
 package main
@@ -21,67 +23,22 @@ import (
 )
 
 func main() {
-	ms := []int{4, 8, 16, 32, 64, 128}
+	p := ptm.DefaultParams()
+	p.Ms = []int{4, 8, 16, 32, 64, 128}
 
 	fmt.Println("Theorem 3(1): a read-only transaction of m reads in an opaque,")
 	fmt.Println("weak-DAP, weak-invisible-read progressive TM performs Ω(m²) steps.")
 	fmt.Println()
-
-	for _, mode := range []bool{false, true} {
-		label := "solo (π^m, no contention)"
-		if mode {
-			label = "Lemma-2 adversary (a committed write before every read)"
+	// The taxonomy, both E1 modes (blocking TMs cannot face the adversary
+	// and are skipped with a note), then the tightness check: irtm matches
+	// the closed form m(m-1)/2 + 3m step for step.
+	for _, run := range []struct {
+		exp       string
+		adversary bool
+	}{{"class", false}, {"e1", false}, {"e1", true}, {"e6", false}} {
+		p.Adversary = run.adversary
+		if err := ptm.RunExperiment(os.Stdout, run.exp, p); err != nil {
+			log.Fatal(err)
 		}
-		t := ptm.Table{
-			Title:  label,
-			Header: []string{"tm", "m", "attempts", "reader-steps", "m(m-1)/2", "class"},
-		}
-		for _, name := range ptm.Algorithms() {
-			rows, err := ptm.RunE1(name, ms, mode)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "  (skipping %s: %v)\n", name, err)
-				continue
-			}
-			for _, r := range rows {
-				t.Add(r.TM, r.M, r.Attempts, r.TotalSteps, uint64(r.M)*uint64(r.M-1)/2, classOf(r.TM))
-			}
-		}
-		ptm.PrintTable(os.Stdout, &t)
 	}
-
-	// The tightness check: irtm matches the closed form step for step.
-	rows, err := ptm.RunE6(ms)
-	if err != nil {
-		log.Fatal(err)
-	}
-	t := ptm.Table{
-		Title:  "Section 6 tightness: irtm solo steps = m(m-1)/2 + 3m, exactly",
-		Header: []string{"m", "measured", "formula", "match"},
-	}
-	for _, r := range rows {
-		t.Add(r.M, r.Measured, r.Formula, r.Measured == r.Formula)
-	}
-	ptm.PrintTable(os.Stdout, &t)
-}
-
-func classOf(tm string) string {
-	switch tm {
-	case "irtm":
-		return "in-hypothesis (pays Θ(m²) validating)"
-	case "tl2":
-		return "¬weak-DAP (pays Θ(m²) restarting)"
-	case "norec":
-		return "¬DAP (pays Θ(m²) revalidating)"
-	case "vrtm":
-		return "¬invisible-reads (linear)"
-	case "mvtm":
-		return "multi-version, ¬weak-DAP (linear)"
-	case "sgltm":
-		return "blocking, visible lock (linear)"
-	case "dstm":
-		return "in-hypothesis (pays Θ(m²) validating)"
-	case "tml":
-		return "¬progressive (pays in spurious aborts)"
-	}
-	return "?"
 }

@@ -1,8 +1,8 @@
 // Package benchfmt parses `go test -bench` text output into the
 // benchmark-baseline structure committed as BENCH_PRn.json, and compares
-// two baselines. It is shared by cmd/benchjson (baseline recording) and
-// cmd/benchdiff (the CI delta report); standard library only, so both run
-// in a hermetic container.
+// two baselines, for cmd/benchdiff (baseline recording with -record, and
+// the CI delta report); standard library only, so it runs in a hermetic
+// container.
 package benchfmt
 
 import (

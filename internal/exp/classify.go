@@ -31,9 +31,13 @@ type ClassRow struct {
 // finite tests of universally quantified properties), but a measured
 // "false" is a definitive counterexample.
 func Classify(name string, seeds int) (ClassRow, error) {
+	probe, err := tmreg.New(name, memory.New(1, nil), 1)
+	if err != nil {
+		return ClassRow{}, err
+	}
 	row := ClassRow{
 		TM:                 name,
-		Declared:           tmreg.MustNew(name, memory.New(1, nil), 1).Props(),
+		Declared:           probe.Props(),
 		WeakDAP:            true,
 		InvisibleReads:     true,
 		WeakInvisibleReads: true,
@@ -184,4 +188,26 @@ func runContentionProbe(name string, seed int64) (*tm.History, error) {
 		return nil, err
 	}
 	return rec.History(), nil
+}
+
+func init() {
+	registerPerTM(Experiment{Name: "class", Artifact: "The hypothesis space (Sections 2–3)", Uses: "-tms",
+		Title: "TM taxonomy — measured class membership (✗ = counterexample found)"},
+		asRequested, []string{"tm", "weak-dap", "inv-reads", "weak-inv-reads",
+			"progressive", "strong-1item", "opaque", "declared"},
+		func(t *Table, p Params, name string) error {
+			mark := func(b bool) string {
+				if b {
+					return "yes"
+				}
+				return "✗"
+			}
+			row, err := Classify(name, 6)
+			if err != nil {
+				return err
+			}
+			t.Add(row.TM, mark(row.WeakDAP), mark(row.InvisibleReads), mark(row.WeakInvisibleReads),
+				mark(row.Progressive), mark(row.StrongSingleItem), mark(row.Opaque), row.Declared.String())
+			return nil
+		})
 }

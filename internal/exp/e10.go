@@ -1,14 +1,12 @@
 package exp
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/memory"
-	"repro/internal/sched"
 	"repro/internal/tm"
-	"repro/internal/tmreg"
 )
 
 // E10 is the read-mostly serving scenario: the workload shape of a
@@ -107,109 +105,121 @@ func (z zipfTable) sample(rng *splitMix) int {
 // row's ROHint reports whether the read-only declaration was both
 // requested and actually applied by the TM.
 func RunE10(name string, cfg E10Config) (E10Row, error) {
-	mem := memory.New(cfg.Procs, nil)
-	tmi, err := tmreg.New(name, mem, cfg.Objects)
+	r, err := runServing("e10", name, servingMix{
+		procs: cfg.Procs, txnsPerProc: cfg.TxnsPerProc, objects: cfg.Objects,
+		getKeys: cfg.GetKeys, scanLen: cfg.ScanLen, writeRatio: cfg.WriteRatio, scanRatio: cfg.ScanRatio,
+		declareRO: cfg.DeclareRO, seed: cfg.Seed, seedMul: 69621,
+		pick: newZipfTable(cfg.Objects, cfg.ZipfS).sample, // hot keys: readers and writers collide on them
+	})
 	if err != nil {
 		return E10Row{}, err
 	}
-	zipf := newZipfTable(cfg.Objects, cfg.ZipfS)
-	commits, aborts := 0, 0
-	hintApplied := false
-	s := sched.New(mem)
-	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		rng := newSplitMix(uint64(cfg.Seed)*69621 + uint64(i+1))
-		s.Go(i, func(p *memory.Proc) {
-			for n := 0; n < cfg.TxnsPerProc; n++ {
-				// Pre-draw the transaction so retries replay it exactly.
-				body, readOnly := drawE10Txn(cfg, rng, zipf)
-				for {
-					committed, err := tm.Once(tmi, p, func(tx tm.Txn) error {
-						if readOnly && cfg.DeclareRO && tm.DeclareReadOnly(tx) {
-							hintApplied = true
-						}
-						return body(tx)
-					})
-					if err != nil {
-						panic(err)
+	all := r.all()
+	return E10Row{
+		TM: name, ROHint: r.roHint, Procs: cfg.Procs,
+		Commits: all.commits, Aborts: all.aborts, AbortRatio: all.abortRatio(),
+		TotalSteps: r.steps, StepsPerTxn: perCommit(r.steps, all.commits),
+	}, nil
+}
+
+// servingMix is the workload E10 and E11 share: a pool of point-RMW
+// writers under read transactions that are either an ordered scan of a
+// contiguous window or a multi-key get, every process replaying each
+// pre-drawn transaction until it commits. The experiments differ in the
+// sizes, in how keys are picked, and in what they report.
+type servingMix struct {
+	procs, txnsPerProc, objects int
+	getKeys, scanLen            int
+	writeRatio, scanRatio       float64 // scanRatio is of the read transactions
+	declareRO                   bool
+	seed                        int64
+	seedMul                     uint64
+	pick                        func(rng *splitMix) int // the key distribution
+}
+
+// servingResult is a serving run's outcome by transaction class.
+type servingResult struct {
+	writes, scans, gets tally
+	roHint              bool // a read transaction declared itself read-only and the TM applied it
+	steps               uint64
+	space               int
+}
+
+func (r servingResult) all() tally {
+	return tally{
+		commits: r.writes.commits + r.scans.commits + r.gets.commits,
+		aborts:  r.writes.aborts + r.scans.aborts + r.gets.aborts,
+	}
+}
+
+func runServing(label, name string, m servingMix) (servingResult, error) {
+	sc, err := newScenario(label+" "+name, name, m.procs, m.objects, m.seed, false)
+	if err != nil {
+		return servingResult{}, err
+	}
+	var r servingResult
+	for i := 0; i < m.procs; i++ {
+		sc.spawn(i, m.seedMul, func(p *memory.Proc, rng *splitMix) {
+			for n := 0; n < m.txnsPerProc; n++ {
+				// Pre-draw the transaction: the closures touch only drawn
+				// indices, so a retry replays it exactly.
+				var class *tally
+				var body func(tm.Txn) error
+				switch roll := float64(rng.next()%1000) / 1000; {
+				case roll < m.writeRatio:
+					x := m.pick(rng)
+					class, body = &r.writes, rmw(x, rng.next()%100)
+				case roll < m.writeRatio+(1-m.writeRatio)*m.scanRatio:
+					class, body = &r.scans, readAll(window(m.pick(rng), m.scanLen, m.objects))
+				default:
+					keys := make([]int, m.getKeys)
+					for j := range keys {
+						keys[j] = m.pick(rng)
 					}
-					if committed {
-						commits++
-						break
-					}
-					aborts++
+					class, body = &r.gets, readAll(keys)
 				}
+				if m.declareRO && class != &r.writes {
+					read := body
+					body = func(tx tm.Txn) error {
+						if tm.DeclareReadOnly(tx) {
+							r.roHint = true
+						}
+						return read(tx)
+					}
+				}
+				sc.retry(p, class, nil, body)
 			}
 		})
 	}
-	if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-		return E10Row{}, fmt.Errorf("exp: e10 %s: %w", name, err)
+	if err := sc.run(); err != nil {
+		return servingResult{}, err
 	}
-	row := E10Row{
-		TM: name, ROHint: hintApplied, Procs: cfg.Procs,
-		Commits: commits, Aborts: aborts,
-		TotalSteps: mem.TotalSteps(),
-	}
-	if commits+aborts > 0 {
-		row.AbortRatio = float64(aborts) / float64(commits+aborts)
-	}
-	if commits > 0 {
-		row.StepsPerTxn = float64(mem.TotalSteps()) / float64(commits)
-	}
-	return row, nil
+	r.steps, r.space = sc.mem.TotalSteps(), sc.space()
+	return r, nil
 }
 
-// drawE10Txn draws one serving transaction from rng: a Zipf point RMW
-// (writer pool), an ordered scan, or a hot-key multi-get. The returned
-// closure touches only pre-drawn indices, so re-running it after an abort
-// replays the same transaction.
-func drawE10Txn(cfg E10Config, rng *splitMix, zipf zipfTable) (body func(tm.Txn) error, readOnly bool) {
-	roll := float64(rng.next()%1000) / 1000
-	switch {
-	case roll < cfg.WriteRatio:
-		// Writer pool: point RMW on a hot key.
-		x := zipf.sample(rng)
-		delta := rng.next() % 100
-		return func(tx tm.Txn) error {
-			v, err := tx.Read(x)
-			if err != nil {
-				return err
+func init() {
+	registerPerTM(Experiment{Name: "e10", Artifact: "Read-mostly serving", Native: "BenchmarkE10Native", Uses: "-tms -seed",
+		Title: "E10 — read-mostly serving: Zipf hot-key gets + ordered scans vs a writer pool"},
+		withVariants, []string{"tm", "ro", "commits", "aborts", "abort-ratio", "steps/txn"},
+		func(t *Table, p Params, name string) error {
+			cfg := DefaultE10Config()
+			cfg.Seed = p.Seed
+			// The TL2 family (explicitly requested variants included) is
+			// swept undeclared and declared, so the table shows what the
+			// zero-validation RO mode trades: extension revalidations for
+			// abort/replay.
+			declare := []bool{false}
+			if name == "tl2" || strings.HasPrefix(name, "tl2:") {
+				declare = []bool{false, true}
 			}
-			return tx.Write(x, v+delta)
-		}, false
-	case roll < cfg.WriteRatio+(1-cfg.WriteRatio)*cfg.ScanRatio:
-		// Ordered scan of a contiguous window starting at a hot key.
-		start := zipf.sample(rng)
-		length := cfg.ScanLen
-		return func(tx tm.Txn) error {
-			var sum uint64
-			for j := 0; j < length; j++ {
-				v, err := tx.Read((start + j) % cfg.Objects)
+			for _, cfg.DeclareRO = range declare {
+				row, err := RunE10(name, cfg)
 				if err != nil {
 					return err
 				}
-				sum += v
+				t.Add(row.TM, row.ROHint, row.Commits, row.Aborts, row.AbortRatio, row.StepsPerTxn)
 			}
-			_ = sum
 			return nil
-		}, true
-	default:
-		// Hot-key multi-get: the dominant serving transaction.
-		keys := make([]int, cfg.GetKeys)
-		for j := range keys {
-			keys[j] = zipf.sample(rng)
-		}
-		return func(tx tm.Txn) error {
-			var sum uint64
-			for _, x := range keys {
-				v, err := tx.Read(x)
-				if err != nil {
-					return err
-				}
-				sum += v
-			}
-			_ = sum
-			return nil
-		}, true
-	}
+		})
 }

@@ -1,14 +1,5 @@
 package exp
 
-import (
-	"fmt"
-
-	"repro/internal/memory"
-	"repro/internal/sched"
-	"repro/internal/tm"
-	"repro/internal/tmreg"
-)
-
 // E11 is the long-scan / HTAP scenario: analytical read transactions —
 // long ordered scans over a contiguous window and multi-key aggregates —
 // racing a pool of point writers. It is the workload class where every
@@ -31,10 +22,9 @@ type E11Row struct {
 	Aborts     int
 	ReadAborts int // aborted attempts of read-only (scan/aggregate) transactions
 	AbortRatio float64
-	// StepsPerTxn is the mean steps per committed transaction; ScanSteps
-	// is the same for committed scan transactions only (attributed by the
-	// per-transaction span), the quantity Theorem 3 bounds from below for
-	// single-version invisible-read TMs.
+	// StepsPerTxn is all steps per committed transaction; ScanSteps is
+	// the steps of a scan's committed attempt alone, the quantity Theorem
+	// 3 bounds from below for single-version invisible-read TMs.
 	StepsPerTxn float64
 	ScanSteps   float64
 	// Space counts live base objects as in E5: for multi-version TMs the
@@ -80,135 +70,39 @@ func DefaultE11Config() E11Config {
 // subset wasted on read-only transactions — zero for the multi-version
 // TMs, which is the point of keeping versions.
 func RunE11(name string, cfg E11Config) (E11Row, error) {
-	mem := memory.New(cfg.Procs, nil)
-	tmi, err := tmreg.New(name, mem, cfg.Objects)
+	r, err := runServing("e11", name, servingMix{
+		procs: cfg.Procs, txnsPerProc: cfg.TxnsPerProc, objects: cfg.Objects,
+		getKeys: cfg.AggKeys, scanLen: cfg.ScanLen, writeRatio: cfg.WriteRatio, scanRatio: cfg.ScanRatio,
+		declareRO: cfg.DeclareRO, seed: cfg.Seed, seedMul: 48271,
+		pick: func(rng *splitMix) int { return int(rng.next() % uint64(cfg.Objects)) }, // uniform keys
+	})
 	if err != nil {
 		return E11Row{}, err
 	}
-	commits, aborts, readAborts := 0, 0, 0
-	scanCommits, scanSteps := 0, uint64(0)
-	hintApplied := false
-	s := sched.New(mem)
-	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		rng := newSplitMix(uint64(cfg.Seed)*48271 + uint64(i+1))
-		s.Go(i, func(p *memory.Proc) {
-			for n := 0; n < cfg.TxnsPerProc; n++ {
-				// Pre-draw the transaction so retries replay it exactly.
-				body, readOnly, isScan := drawE11Txn(cfg, rng)
-				for {
-					var span *memory.Span
-					if isScan {
-						span = p.BeginSpan(fmt.Sprintf("e11.scan[%d.%d]", i, n))
-					}
-					committed, err := tm.Once(tmi, p, func(tx tm.Txn) error {
-						if readOnly && cfg.DeclareRO && tm.DeclareReadOnly(tx) {
-							hintApplied = true
-						}
-						return body(tx)
-					})
-					if span != nil {
-						p.EndSpan()
-					}
-					if err != nil {
-						panic(err)
-					}
-					if committed {
-						commits++
-						if isScan {
-							scanCommits++
-							scanSteps += span.Steps
-						}
-						break
-					}
-					aborts++
-					if readOnly {
-						readAborts++
-					}
-				}
-			}
-		})
-	}
-	if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-		return E11Row{}, fmt.Errorf("exp: e11 %s: %w", name, err)
-	}
-	row := E11Row{
-		TM: name, ROHint: hintApplied, Procs: cfg.Procs,
-		Commits: commits, Aborts: aborts, ReadAborts: readAborts,
-		Space: mem.NumObjs(),
-	}
-	if mv, ok := tmi.(interface {
-		LiveVersions() int
-		Versions() int
-	}); ok {
-		// As in E5: count only the live version nodes (3 base objects each),
-		// so the GC ablation is visible in the Space column.
-		row.Space = mem.NumObjs() - 3*mv.Versions() + 3*mv.LiveVersions()
-	}
-	if commits+aborts > 0 {
-		row.AbortRatio = float64(aborts) / float64(commits+aborts)
-	}
-	if commits > 0 {
-		row.StepsPerTxn = float64(mem.TotalSteps()) / float64(commits)
-	}
-	if scanCommits > 0 {
-		row.ScanSteps = float64(scanSteps) / float64(scanCommits)
-	}
-	return row, nil
+	all := r.all()
+	return E11Row{
+		TM: name, ROHint: r.roHint, Procs: cfg.Procs,
+		Commits: all.commits, Aborts: all.aborts, ReadAborts: r.scans.aborts + r.gets.aborts,
+		AbortRatio:  all.abortRatio(),
+		StepsPerTxn: perCommit(r.steps, all.commits),
+		ScanSteps:   perCommit(r.scans.useful, r.scans.commits),
+		Space:       r.space,
+	}, nil
 }
 
-// drawE11Txn draws one transaction from rng: a point RMW (writer pool), a
-// long ordered scan, or a multi-key aggregate. The returned closure
-// touches only pre-drawn indices, so re-running it after an abort replays
-// the same transaction.
-func drawE11Txn(cfg E11Config, rng *splitMix) (body func(tm.Txn) error, readOnly, isScan bool) {
-	roll := float64(rng.next()%1000) / 1000
-	switch {
-	case roll < cfg.WriteRatio:
-		// Writer pool: point RMW on a uniform key.
-		x := int(rng.next() % uint64(cfg.Objects))
-		delta := rng.next() % 100
-		return func(tx tm.Txn) error {
-			v, err := tx.Read(x)
+func init() {
+	registerPerTM(Experiment{Name: "e11", Artifact: "Long scans / HTAP (the time/space trade)", Native: "BenchmarkE11Native", Uses: "-tms -seed",
+		Title: "E11 — HTAP long scans: ordered scans + multi-key aggregates vs a writer pool"},
+		withVariants, []string{"tm", "ro", "commits", "aborts", "read-aborts", "abort-ratio", "steps/txn", "scan-steps", "space"},
+		func(t *Table, p Params, name string) error {
+			cfg := DefaultE11Config()
+			cfg.Seed = p.Seed
+			row, err := RunE11(name, cfg)
 			if err != nil {
 				return err
 			}
-			return tx.Write(x, v+delta)
-		}, false, false
-	case roll < cfg.WriteRatio+(1-cfg.WriteRatio)*cfg.ScanRatio:
-		// Long ordered scan: a contiguous window of ScanLen objects — the
-		// analytical read whose validation cost Theorem 3 bounds.
-		start := int(rng.next() % uint64(cfg.Objects))
-		length := cfg.ScanLen
-		return func(tx tm.Txn) error {
-			var sum uint64
-			for j := 0; j < length; j++ {
-				v, err := tx.Read((start + j) % cfg.Objects)
-				if err != nil {
-					return err
-				}
-				sum += v
-			}
-			_ = sum
+			t.Add(row.TM, row.ROHint, row.Commits, row.Aborts, row.ReadAborts,
+				row.AbortRatio, row.StepsPerTxn, row.ScanSteps, row.Space)
 			return nil
-		}, true, true
-	default:
-		// Multi-key aggregate: AggKeys scattered reads in one snapshot.
-		keys := make([]int, cfg.AggKeys)
-		for j := range keys {
-			keys[j] = int(rng.next() % uint64(cfg.Objects))
-		}
-		return func(tx tm.Txn) error {
-			var sum uint64
-			for _, x := range keys {
-				v, err := tx.Read(x)
-				if err != nil {
-					return err
-				}
-				sum += v
-			}
-			_ = sum
-			return nil
-		}, true, false
-	}
+		})
 }

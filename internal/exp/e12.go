@@ -20,9 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/memory"
-	"repro/internal/sched"
 	"repro/internal/tm"
-	"repro/internal/tmreg"
 	"repro/stm/budget"
 )
 
@@ -88,109 +86,79 @@ func RunE12(name string, cfg E12Config) (E12Row, error) {
 	if cfg.Hostiles > cfg.Procs {
 		return E12Row{}, fmt.Errorf("exp: e12: Hostiles %d > Procs %d", cfg.Hostiles, cfg.Procs)
 	}
-	mem := memory.New(cfg.Procs, nil)
-	tmi, err := tmreg.New(name, mem, cfg.Objects)
+	sc, err := newScenario("e12 "+name, name, cfg.Procs, cfg.Objects, cfg.Seed, false)
 	if err != nil {
 		return E12Row{}, err
 	}
-	var (
-		victimCommits, victimAborts               int
-		hostileCommits, hostileAborts, hostileRef int
-		victimSteps                               uint64
-	)
-	s := sched.New(mem)
+	var victim, hostile tally
+	refused := 0
 	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		hostile := i < cfg.Hostiles
-		rng := newSplitMix(uint64(cfg.Seed)*69621 + uint64(i+1))
-		s.Go(i, func(p *memory.Proc) {
-			if hostile {
-				for n := 0; n < cfg.HostileTxns; n++ {
-					start := int(rng.next() % uint64(cfg.Objects))
-					scan := func(tx tm.Txn) error {
-						begun := p.Steps()
-						var sum uint64
-						for j := 0; j < cfg.Objects; j++ {
-							v, err := tx.Read((start + j) % cfg.Objects)
-							if err != nil {
-								return err
-							}
-							sum += v
-							if cfg.StepBudget > 0 && p.Steps()-begun > cfg.StepBudget {
-								return budget.ErrOutOfBudget
-							}
-						}
-						_ = sum
-						return nil
-					}
-					for {
-						committed, err := tm.Once(tmi, p, scan)
-						if err == budget.ErrOutOfBudget {
-							hostileRef++ // refused: charged out, not retried
-							break
-						}
-						if err != nil {
-							panic(err)
-						}
-						if committed {
-							hostileCommits++
-							break
-						}
-						hostileAborts++
-					}
+		sc.spawn(i, 69621, func(p *memory.Proc, rng *splitMix) {
+			if i >= cfg.Hostiles {
+				for n := 0; n < cfg.TxnsPerProc; n++ {
+					x := int(rng.next() % uint64(cfg.Objects))
+					delta := rng.next() % 100
+					sc.retry(p, &victim, nil, rmw(x, delta))
 				}
 				return
 			}
-			for n := 0; n < cfg.TxnsPerProc; n++ {
-				x := int(rng.next() % uint64(cfg.Objects))
-				delta := rng.next() % 100
-				for {
-					committed, err := tm.Once(tmi, p, func(tx tm.Txn) error {
-						v, err := tx.Read(x)
+			for n := 0; n < cfg.HostileTxns; n++ {
+				start := int(rng.next() % uint64(cfg.Objects))
+				scan := func(tx tm.Txn) error {
+					begun := p.Steps()
+					var sum uint64
+					for j := 0; j < cfg.Objects; j++ {
+						v, err := tx.Read((start + j) % cfg.Objects)
 						if err != nil {
 							return err
 						}
-						return tx.Write(x, v+delta)
-					})
-					if err != nil {
-						panic(err)
+						sum += v
+						if cfg.StepBudget > 0 && p.Steps()-begun > cfg.StepBudget {
+							return budget.ErrOutOfBudget
+						}
 					}
-					if committed {
-						victimCommits++
-						break
-					}
-					victimAborts++
+					_ = sum
+					return nil
+				}
+				if sc.retry(p, &hostile, nil, scan, budget.ErrOutOfBudget) != nil {
+					refused++ // charged out, not retried
 				}
 			}
 		})
 	}
-	if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-		return E12Row{}, fmt.Errorf("exp: e12 %s: %w", name, err)
+	if err := sc.run(); err != nil {
+		return E12Row{}, err
 	}
-	var hostileSteps uint64
-	for i := 0; i < cfg.Procs; i++ {
-		if i < cfg.Hostiles {
-			hostileSteps += mem.Proc(i).Steps()
-		} else {
-			victimSteps += mem.Proc(i).Steps()
-		}
-	}
-	row := E12Row{
+	return E12Row{
 		TM: name, Metered: cfg.StepBudget > 0,
 		Procs: cfg.Procs, Hostiles: cfg.Hostiles,
-		VictimCommits: victimCommits, VictimAborts: victimAborts,
-		HostileCommits: hostileCommits, HostileAborts: hostileAborts,
-		HostileBudgetAborts: hostileRef, HostileSteps: hostileSteps,
-		Space: mem.NumObjs(),
-	}
-	if mv, ok := tmi.(interface {
-		LiveVersions() int
-		Versions() int
-	}); ok {
-		row.Space = mem.NumObjs() - 3*mv.Versions() + 3*mv.LiveVersions()
-	}
-	if victimCommits > 0 {
-		row.VictimStepsPerTxn = float64(victimSteps) / float64(victimCommits)
-	}
-	return row, nil
+		VictimCommits: victim.commits, VictimAborts: victim.aborts,
+		VictimStepsPerTxn: perCommit(sc.steps(cfg.Hostiles, cfg.Procs), victim.commits),
+		HostileCommits:    hostile.commits, HostileAborts: hostile.aborts,
+		HostileBudgetAborts: refused, HostileSteps: sc.steps(0, cfg.Hostiles),
+		Space: sc.space(),
+	}, nil
+}
+
+func init() {
+	registerPerTM(Experiment{Name: "e12", Artifact: "Robustness ablation (metering)", Native: "BenchmarkE12Hostile", Uses: "-tms -seed",
+		Title: "E12 — hostile tenants: unbounded scans vs point writers, unmetered then metered"},
+		withVariants, []string{"tm", "metered", "victim-commits", "victim-aborts", "victim-steps/txn",
+			"hostile-commits", "hostile-refused", "hostile-steps", "space"},
+		func(t *Table, p Params, name string) error {
+			cfg := DefaultE12Config()
+			cfg.Seed = p.Seed
+			// One unmetered row (hostile scans retried to completion),
+			// then one metered at the default grant of half a scan, so
+			// every hostile attempt is refused.
+			for _, cfg.StepBudget = range []uint64{0, DefaultE12Config().StepBudget} {
+				row, err := RunE12(name, cfg)
+				if err != nil {
+					return err
+				}
+				t.Add(row.TM, row.Metered, row.VictimCommits, row.VictimAborts, row.VictimStepsPerTxn,
+					row.HostileCommits, row.HostileBudgetAborts, row.HostileSteps, row.Space)
+			}
+			return nil
+		})
 }

@@ -28,9 +28,7 @@ import (
 	"fmt"
 
 	"repro/internal/memory"
-	"repro/internal/sched"
 	"repro/internal/tm"
-	"repro/internal/tmreg"
 	"repro/stm/budget"
 )
 
@@ -114,24 +112,16 @@ var errE13Occupied = fmt.Errorf("e13: path cell occupied")
 // and the route abandoned, as in E12.
 func RunE13(name string, cfg E13Config) (E13Row, error) {
 	objects := cfg.GridW * cfg.GridH
-	mem := memory.New(cfg.Procs, nil)
-	tmi, err := tmreg.New(name, mem, objects)
+	// Paced retries: long crossing routes under an aggressive contention
+	// manager can mutually abort forever without spacing them out.
+	sc, err := newScenario("e13 "+name, name, cfg.Procs, objects, cfg.Seed, true)
 	if err != nil {
 		return E13Row{}, err
 	}
-	var routed, replanned, refused, aborts, claimed int
-	// Backoff scratch, one object per router (the E5 idiom): long crossing
-	// routes under an aggressive contention manager can mutually abort
-	// forever without spacing out the retries.
-	scratch := make([]*memory.Obj, cfg.Procs)
-	for i := range scratch {
-		scratch[i] = mem.AllocAt(fmt.Sprintf("backoff[%d]", i), i)
-	}
-	s := sched.New(mem)
+	var t tally // commits = routed
+	var replanned, refused, claimed int
 	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		rng := newSplitMix(uint64(cfg.Seed)*69621 + uint64(i+1))
-		s.Go(i, func(p *memory.Proc) {
+		sc.spawn(i, 69621, func(p *memory.Proc, rng *splitMix) {
 			id := uint64(i + 1) // 0 marks a free cell
 			for n := 0; n < cfg.RoutesPerProc; n++ {
 			draw:
@@ -167,85 +157,75 @@ func RunE13(name string, cfg E13Config) (E13Row, error) {
 						}
 						return nil
 					}
-					for consecutive := 0; ; {
-						committed, err := tm.Once(tmi, p, route)
-						switch err {
-						case nil:
-						case errE13Occupied:
-							continue draw // redraw a new pair
-						case budget.ErrOutOfBudget:
-							refused++
-							break draw // charged out: route abandoned, not retried
-						default:
-							panic(err)
-						}
-						if committed {
-							routed++
-							claimed += len(path)
-							break draw
-						}
-						aborts++ // conflict: replay the same pair
-						consecutive++
-						expBackoff(p, scratch[i], rng, consecutive)
+					// A conflict abort replays the same pair inside retry.
+					switch sc.retry(p, &t, sc.pacer(p, rng), route, errE13Occupied, budget.ErrOutOfBudget) {
+					case errE13Occupied:
+						continue // redraw a new pair
+					case budget.ErrOutOfBudget:
+						refused++ // charged out: route abandoned, not retried
+					default:
+						claimed += len(path)
 					}
+					break draw
 				}
 			}
 		})
 	}
-	if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-		return E13Row{}, fmt.Errorf("exp: e13 %s: %w", name, err)
-	}
-	var steps uint64
-	for i := 0; i < cfg.Procs; i++ {
-		steps += mem.Proc(i).Steps()
+	if err := sc.run(); err != nil {
+		return E13Row{}, err
 	}
 	row := E13Row{
 		TM: name, Metered: cfg.StepBudget > 0, Procs: cfg.Procs,
-		Routed: routed, Replanned: replanned, Refused: refused,
-		Aborts: aborts, ClaimedCells: claimed,
-		Space: mem.NumObjs(),
-	}
-	if mv, ok := tmi.(interface {
-		LiveVersions() int
-		Versions() int
-	}); ok {
-		row.Space = mem.NumObjs() - 3*mv.Versions() + 3*mv.LiveVersions()
-	}
-	if routed > 0 {
-		row.StepsPerTxn = float64(steps) / float64(routed)
+		Routed: t.commits, Replanned: replanned, Refused: refused,
+		Aborts: t.aborts, ClaimedCells: claimed,
+		StepsPerTxn: perCommit(sc.mem.TotalSteps(), t.commits),
+		Space:       sc.space(),
 	}
 	// Verification pass: committed routes hold disjoint cells, abandoned
 	// ones hold none — so the occupied-cell count must equal the cells the
 	// committed routes claimed.
 	occupied := 0
-	s.Go(0, func(p *memory.Proc) {
-		for {
-			committed, err := tm.Once(tmi, p, func(tx tm.Txn) error {
-				occupied = 0
-				for c := 0; c < objects; c++ {
-					v, err := tx.Read(c)
-					if err != nil {
-						return err
-					}
-					if v != 0 {
-						occupied++
-					}
-				}
-				return nil
-			})
+	err = sc.verify(func(tx tm.Txn) error {
+		occupied = 0
+		for c := 0; c < objects; c++ {
+			v, err := tx.Read(c)
 			if err != nil {
-				panic(err)
+				return err
 			}
-			if committed {
-				break
+			if v != 0 {
+				occupied++
 			}
 		}
+		return nil
 	})
-	if err := s.Run(sched.NewRandom(cfg.Seed + 1)); err != nil {
-		return E13Row{}, fmt.Errorf("exp: e13 %s verification: %w", name, err)
+	if err != nil {
+		return E13Row{}, err
 	}
 	if occupied != claimed {
 		return E13Row{}, fmt.Errorf("exp: e13 %s: %d occupied cells, want the %d claimed by committed routes", name, occupied, claimed)
 	}
 	return row, nil
+}
+
+func init() {
+	registerPerTM(Experiment{Name: "e13", Artifact: "Graph routing (STAMP labyrinth shape)", Native: "BenchmarkE13GraphRouting", Uses: "-tms -seed",
+		Title: "E13 — graph routing: long speculative paths, write sets as large as read sets"},
+		withVariants, []string{"tm", "metered", "routed", "replanned", "refused", "aborts",
+			"claimed-cells", "steps/route", "space"},
+		func(t *Table, p Params, name string) error {
+			cfg := DefaultE13Config()
+			cfg.Seed = p.Seed
+			// One unmetered row, then one metered at a grant of roughly one
+			// grid side of reads+writes: long L-paths charge out, short
+			// ones fit. Routed + replanned + refused is always the quota.
+			for _, cfg.StepBudget = range []uint64{0, uint64(cfg.GridW)} {
+				row, err := RunE13(name, cfg)
+				if err != nil {
+					return err
+				}
+				t.Add(row.TM, row.Metered, row.Routed, row.Replanned, row.Refused,
+					row.Aborts, row.ClaimedCells, row.StepsPerTxn, row.Space)
+			}
+			return nil
+		})
 }

@@ -20,9 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/memory"
-	"repro/internal/sched"
 	"repro/internal/tm"
-	"repro/internal/tmreg"
 )
 
 // E14Row is one TM's clustering measurement.
@@ -70,33 +68,44 @@ func DefaultE14Config() E14Config {
 // each assignment until it commits (quota-retry, as in E5/E9–E13), so
 // Commits is fixed by the config and Aborts measures contention waste.
 func RunE14(name string, cfg E14Config) (E14Row, error) {
-	objects := 3 * cfg.Centroids
-	mem := memory.New(cfg.Procs, nil)
-	tmi, err := tmreg.New(name, mem, objects)
+	// Paced retries: with K accumulators shared by every process, an
+	// aggressive contention manager mutually aborts concurrent assignments
+	// forever without spacing them out.
+	sc, err := newScenario("e14 "+name, name, cfg.Procs, 3*cfg.Centroids, cfg.Seed, true)
 	if err != nil {
 		return E14Row{}, err
 	}
-	var commits, aborts, recenters int
-	// Backoff scratch, one object per process (the E5 idiom): with K
-	// accumulators shared by every process, an aggressive contention
-	// manager mutually aborts concurrent assignments forever without
-	// spacing out the retries.
-	scratch := make([]*memory.Obj, cfg.Procs)
-	for i := range scratch {
-		scratch[i] = mem.AllocAt(fmt.Sprintf("backoff[%d]", i), i)
+	var t tally
+	recenters := 0
+	recenter := func(tx tm.Txn) error {
+		for k := 0; k < cfg.Centroids; k++ {
+			sum, err := tx.Read(3 * k)
+			if err != nil {
+				return err
+			}
+			cnt, err := tx.Read(3*k + 1)
+			if err != nil {
+				return err
+			}
+			mean := uint64(0)
+			if cnt > 0 {
+				mean = sum / cnt
+			}
+			if err := tx.Write(3*k+2, mean); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	s := sched.New(mem)
 	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		rng := newSplitMix(uint64(cfg.Seed)*48271 + uint64(i+1))
-		s.Go(i, func(p *memory.Proc) {
+		sc.spawn(i, 48271, func(p *memory.Proc, rng *splitMix) {
 			for n := 0; n < cfg.PointsPerProc; n++ {
 				// The point's value and its centroid assignment; the modulo
 				// stands in for nearest-centroid, preserving what matters
 				// (every process hits every accumulator).
 				v := rng.next()%1000 + 1
 				c := int(v) % cfg.Centroids
-				assign := func(tx tm.Txn) error {
+				sc.retry(p, &t, sc.pacer(p, rng), func(tx tm.Txn) error {
 					sum, err := tx.Read(3 * c)
 					if err != nil {
 						return err
@@ -109,111 +118,60 @@ func RunE14(name string, cfg E14Config) (E14Row, error) {
 						return err
 					}
 					return tx.Write(3*c+1, cnt+1)
-				}
-				for consecutive := 0; ; {
-					committed, err := tm.Once(tmi, p, assign)
-					if err != nil {
-						panic(err)
-					}
-					if committed {
-						commits++
-						break
-					}
-					aborts++
-					consecutive++
-					expBackoff(p, scratch[i], rng, consecutive)
-				}
+				})
 				if cfg.RecenterEvery > 0 && (n+1)%cfg.RecenterEvery == 0 {
-					recenter := func(tx tm.Txn) error {
-						for k := 0; k < cfg.Centroids; k++ {
-							sum, err := tx.Read(3 * k)
-							if err != nil {
-								return err
-							}
-							cnt, err := tx.Read(3*k + 1)
-							if err != nil {
-								return err
-							}
-							mean := uint64(0)
-							if cnt > 0 {
-								mean = sum / cnt
-							}
-							if err := tx.Write(3*k+2, mean); err != nil {
-								return err
-							}
-						}
-						return nil
-					}
-					for consecutive := 0; ; {
-						committed, err := tm.Once(tmi, p, recenter)
-						if err != nil {
-							panic(err)
-						}
-						if committed {
-							commits++
-							recenters++
-							break
-						}
-						aborts++
-						consecutive++
-						expBackoff(p, scratch[i], rng, consecutive)
-					}
+					sc.retry(p, &t, sc.pacer(p, rng), recenter)
+					recenters++
 				}
 			}
 		})
 	}
-	if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-		return E14Row{}, fmt.Errorf("exp: e14 %s: %w", name, err)
-	}
-	var steps uint64
-	for i := 0; i < cfg.Procs; i++ {
-		steps += mem.Proc(i).Steps()
+	if err := sc.run(); err != nil {
+		return E14Row{}, err
 	}
 	row := E14Row{
 		TM: name, Procs: cfg.Procs, Centroids: cfg.Centroids,
-		Commits: commits, Aborts: aborts, Recenters: recenters,
-		Space: mem.NumObjs(),
-	}
-	if mv, ok := tmi.(interface {
-		LiveVersions() int
-		Versions() int
-	}); ok {
-		row.Space = mem.NumObjs() - 3*mv.Versions() + 3*mv.LiveVersions()
-	}
-	if commits > 0 {
-		row.AbortRatio = float64(aborts) / float64(commits+aborts)
-		row.StepsPerTxn = float64(steps) / float64(commits)
+		Commits: t.commits, Aborts: t.aborts, AbortRatio: t.abortRatio(),
+		Recenters: recenters, StepsPerTxn: perCommit(sc.mem.TotalSteps(), t.commits),
+		Space: sc.space(),
 	}
 	// Verification pass: the total assignment count across centroids must
 	// equal the points committed — a lost RMW under contention would show
 	// up here.
 	var totalCnt uint64
-	s.Go(0, func(p *memory.Proc) {
-		for {
-			committed, err := tm.Once(tmi, p, func(tx tm.Txn) error {
-				totalCnt = 0
-				for k := 0; k < cfg.Centroids; k++ {
-					cnt, err := tx.Read(3*k + 1)
-					if err != nil {
-						return err
-					}
-					totalCnt += cnt
-				}
-				return nil
-			})
+	err = sc.verify(func(tx tm.Txn) error {
+		totalCnt = 0
+		for k := 0; k < cfg.Centroids; k++ {
+			cnt, err := tx.Read(3*k + 1)
 			if err != nil {
-				panic(err)
+				return err
 			}
-			if committed {
-				break
-			}
+			totalCnt += cnt
 		}
+		return nil
 	})
-	if err := s.Run(sched.NewRandom(cfg.Seed + 1)); err != nil {
-		return E14Row{}, fmt.Errorf("exp: e14 %s verification: %w", name, err)
+	if err != nil {
+		return E14Row{}, err
 	}
 	if want := uint64(cfg.Procs) * uint64(cfg.PointsPerProc); totalCnt != want {
 		return E14Row{}, fmt.Errorf("exp: e14 %s: %d assignments recorded, want %d — an update was lost", name, totalCnt, want)
 	}
 	return row, nil
+}
+
+func init() {
+	registerPerTM(Experiment{Name: "e14", Artifact: "Clustering (STAMP kmeans shape)", Native: "BenchmarkE14Clustering", Uses: "-tms -seed",
+		Title: "E14 — clustering: high-contention point RMWs on K shared accumulators"},
+		withVariants, []string{"tm", "centroids", "commits", "aborts", "abort-ratio", "recenters", "steps/txn", "space"},
+		func(t *Table, p Params, name string) error {
+			cfg := DefaultE14Config()
+			cfg.Seed = p.Seed
+			row, err := RunE14(name, cfg)
+			if err != nil {
+				return err
+			}
+			t.Add(row.TM, row.Centroids, row.Commits, row.Aborts, row.AbortRatio,
+				row.Recenters, row.StepsPerTxn, row.Space)
+			return nil
+		})
 }

@@ -9,7 +9,7 @@ package exp
 // backpressure the only thing that stops a producer. The simulator's Txn
 // API has no Retry, so blocked parties poll: a producer finding the queue
 // full (or a consumer finding it empty) commits a read-only probe and
-// tries again — with randomized exponential spacing (expBackoff, the E5
+// tries again — with randomized exponential spacing (the pacer, the E5
 // idiom), because an unpaced probe stream is itself a conflict source
 // under visible-read TMs — and the Full/EmptyPolls columns price that
 // polling per TM.
@@ -24,9 +24,7 @@ import (
 	"fmt"
 
 	"repro/internal/memory"
-	"repro/internal/sched"
 	"repro/internal/tm"
-	"repro/internal/tmreg"
 )
 
 // E15Row is one TM's pipeline measurement.
@@ -76,7 +74,6 @@ var (
 // checksum), or the run errors.
 func RunE15(name string, cfg E15Config) (E15Row, error) {
 	procs := cfg.Producers + cfg.Consumers
-	objects := cfg.QueueCap + 4
 	target := uint64(cfg.Producers) * uint64(cfg.ItemsPerProducer)
 	const (
 		objHead  = 0
@@ -85,26 +82,19 @@ func RunE15(name string, cfg E15Config) (E15Row, error) {
 	)
 	objTotal := objSlot0 + cfg.QueueCap
 	objSum := objTotal + 1
-	mem := memory.New(procs, nil)
-	tmi, err := tmreg.New(name, mem, objects)
+	// Paced: polling needs it as much as abort-retry does. Under a
+	// visible-read TM a consumer's empty-probe read of the count object
+	// is itself a conflict, and unpaced probes abort every producer
+	// mid-put forever.
+	sc, err := newScenario("e15 "+name, name, procs, cfg.QueueCap+4, cfg.Seed, true)
 	if err != nil {
 		return E15Row{}, err
 	}
-	var produced, consumed, fullPolls, emptyPolls, aborts int
+	var prod, cons tally
+	var fullPolls, emptyPolls int
 	var producedSum uint64
-	// Backoff scratch, one object per process (the E5 idiom). Polling
-	// needs it as much as abort-retry does: under a visible-read TM a
-	// consumer's empty-probe read of the count object is itself a
-	// conflict, and unpaced probes abort every producer mid-put forever.
-	scratch := make([]*memory.Obj, procs)
-	for i := range scratch {
-		scratch[i] = mem.AllocAt(fmt.Sprintf("backoff[%d]", i), i)
-	}
-	s := sched.New(mem)
 	for i := 0; i < cfg.Producers; i++ {
-		i := i
-		rng := newSplitMix(uint64(cfg.Seed)*69621 + uint64(i+1))
-		s.Go(i, func(p *memory.Proc) {
+		sc.spawn(i, 69621, func(p *memory.Proc, rng *splitMix) {
 			for n := 0; n < cfg.ItemsPerProducer; n++ {
 				v := rng.next()%1000 + 1
 				put := func(tx tm.Txn) error {
@@ -125,147 +115,115 @@ func RunE15(name string, cfg E15Config) (E15Row, error) {
 					}
 					return tx.Write(objCount, cnt+1)
 				}
-				for consecutive := 0; ; {
-					committed, err := tm.Once(tmi, p, put)
-					if err == errE15Full {
-						fullPolls++ // backpressure: probe again later
-						consecutive++
-						expBackoff(p, scratch[i], rng, consecutive)
-						continue
-					}
-					if err != nil {
-						panic(err)
-					}
-					if committed {
-						produced++
-						producedSum += v
-						break
-					}
-					aborts++
-					consecutive++
-					expBackoff(p, scratch[i], rng, consecutive)
+				// One streak per item: full polls and aborts both lengthen it.
+				pace := sc.pacer(p, rng)
+				for sc.retry(p, &prod, pace, put, errE15Full) != nil {
+					fullPolls++ // backpressure: probe again later
+					pace.wait()
 				}
+				producedSum += v
 			}
 		})
 	}
 	for i := 0; i < cfg.Consumers; i++ {
-		i := i
-		rng := newSplitMix(uint64(cfg.Seed)*28411 + uint64(cfg.Producers+i+1))
-		s.Go(cfg.Producers+i, func(p *memory.Proc) {
-			consecutive := 0
-			for {
-				take := func(tx tm.Txn) error {
-					total, err := tx.Read(objTotal)
-					if err != nil {
-						return err
-					}
-					if total == target {
-						return errE15Done
-					}
-					cnt, err := tx.Read(objCount)
-					if err != nil {
-						return err
-					}
-					if cnt == 0 {
-						return errE15Empty
-					}
-					head, err := tx.Read(objHead)
-					if err != nil {
-						return err
-					}
-					v, err := tx.Read(objSlot0 + int(head)%cfg.QueueCap)
-					if err != nil {
-						return err
-					}
-					if err := tx.Write(objHead, (head+1)%uint64(cfg.QueueCap)); err != nil {
-						return err
-					}
-					if err := tx.Write(objCount, cnt-1); err != nil {
-						return err
-					}
-					if err := tx.Write(objTotal, total+1); err != nil {
-						return err
-					}
-					sum, err := tx.Read(objSum)
-					if err != nil {
-						return err
-					}
-					return tx.Write(objSum, sum+v)
-				}
-				committed, err := tm.Once(tmi, p, take)
-				if err == errE15Done {
-					return
-				}
-				if err == errE15Empty {
-					emptyPolls++ // starvation: probe again later
-					consecutive++
-					expBackoff(p, scratch[cfg.Producers+i], rng, consecutive)
-					continue
-				}
-				if err != nil {
-					panic(err)
-				}
-				if committed {
-					consumed++
-					consecutive = 0
-					continue
-				}
-				aborts++
-				consecutive++
-				expBackoff(p, scratch[cfg.Producers+i], rng, consecutive)
-			}
-		})
-	}
-	if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-		return E15Row{}, fmt.Errorf("exp: e15 %s: %w", name, err)
-	}
-	var steps uint64
-	for i := 0; i < procs; i++ {
-		steps += mem.Proc(i).Steps()
-	}
-	row := E15Row{
-		TM: name, Producers: cfg.Producers, Consumers: cfg.Consumers,
-		Produced: produced, Consumed: consumed,
-		FullPolls: fullPolls, EmptyPolls: emptyPolls, Aborts: aborts,
-		Space: mem.NumObjs(),
-	}
-	if mv, ok := tmi.(interface {
-		LiveVersions() int
-		Versions() int
-	}); ok {
-		row.Space = mem.NumObjs() - 3*mv.Versions() + 3*mv.LiveVersions()
-	}
-	if consumed > 0 {
-		row.StepsPerItem = float64(steps) / float64(consumed)
-	}
-	// Every item flows through exactly once: counts and checksum agree.
-	if produced != int(target) || consumed != int(target) {
-		return E15Row{}, fmt.Errorf("exp: e15 %s: produced %d, consumed %d, want %d each", name, produced, consumed, target)
-	}
-	var finalSum uint64
-	s.Go(0, func(p *memory.Proc) {
-		for {
-			committed, err := tm.Once(tmi, p, func(tx tm.Txn) error {
-				v, err := tx.Read(objSum)
+		// Process ids continue after the producers'; the multiplier differs
+		// so the consumers' streams are their own.
+		sc.spawn(cfg.Producers+i, 28411, func(p *memory.Proc, rng *splitMix) {
+			take := func(tx tm.Txn) error {
+				total, err := tx.Read(objTotal)
 				if err != nil {
 					return err
 				}
-				finalSum = v
-				return nil
-			})
-			if err != nil {
-				panic(err)
+				if total == target {
+					return errE15Done
+				}
+				cnt, err := tx.Read(objCount)
+				if err != nil {
+					return err
+				}
+				if cnt == 0 {
+					return errE15Empty
+				}
+				head, err := tx.Read(objHead)
+				if err != nil {
+					return err
+				}
+				v, err := tx.Read(objSlot0 + int(head)%cfg.QueueCap)
+				if err != nil {
+					return err
+				}
+				if err := tx.Write(objHead, (head+1)%uint64(cfg.QueueCap)); err != nil {
+					return err
+				}
+				if err := tx.Write(objCount, cnt-1); err != nil {
+					return err
+				}
+				if err := tx.Write(objTotal, total+1); err != nil {
+					return err
+				}
+				sum, err := tx.Read(objSum)
+				if err != nil {
+					return err
+				}
+				return tx.Write(objSum, sum+v)
 			}
-			if committed {
-				break
+			// A consumer's streak runs until it takes an item.
+			pace := sc.pacer(p, rng)
+			for {
+				switch sc.retry(p, &cons, pace, take, errE15Done, errE15Empty) {
+				case errE15Done:
+					return
+				case errE15Empty:
+					emptyPolls++ // starvation: probe again later
+					pace.wait()
+				default:
+					pace.failures = 0
+				}
 			}
-		}
+		})
+	}
+	if err := sc.run(); err != nil {
+		return E15Row{}, err
+	}
+	row := E15Row{
+		TM: name, Producers: cfg.Producers, Consumers: cfg.Consumers,
+		Produced: prod.commits, Consumed: cons.commits,
+		FullPolls: fullPolls, EmptyPolls: emptyPolls, Aborts: prod.aborts + cons.aborts,
+		StepsPerItem: perCommit(sc.mem.TotalSteps(), cons.commits),
+		Space:        sc.space(),
+	}
+	// Every item flows through exactly once: counts and checksum agree.
+	if prod.commits != int(target) || cons.commits != int(target) {
+		return E15Row{}, fmt.Errorf("exp: e15 %s: produced %d, consumed %d, want %d each", name, prod.commits, cons.commits, target)
+	}
+	var finalSum uint64
+	err = sc.verify(func(tx tm.Txn) (err error) {
+		finalSum, err = tx.Read(objSum)
+		return err
 	})
-	if err := s.Run(sched.NewRandom(cfg.Seed + 1)); err != nil {
-		return E15Row{}, fmt.Errorf("exp: e15 %s verification: %w", name, err)
+	if err != nil {
+		return E15Row{}, err
 	}
 	if finalSum != producedSum {
 		return E15Row{}, fmt.Errorf("exp: e15 %s: consumed checksum %d, want %d — an item was lost or duplicated", name, finalSum, producedSum)
 	}
 	return row, nil
+}
+
+func init() {
+	registerPerTM(Experiment{Name: "e15", Artifact: "Pipeline (producer/consumer)", Native: "BenchmarkE15Pipeline", Uses: "-tms -seed",
+		Title: "E15 — pipeline: producers/consumers over a bounded transactional queue"},
+		withVariants, []string{"tm", "prod", "cons", "produced", "consumed", "full-polls",
+			"empty-polls", "aborts", "steps/item", "space"},
+		func(t *Table, p Params, name string) error {
+			cfg := DefaultE15Config()
+			cfg.Seed = p.Seed
+			row, err := RunE15(name, cfg)
+			if err != nil {
+				return err
+			}
+			t.Add(row.TM, row.Producers, row.Consumers, row.Produced, row.Consumed,
+				row.FullPolls, row.EmptyPolls, row.Aborts, row.StepsPerItem, row.Space)
+			return nil
+		})
 }

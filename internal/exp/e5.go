@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/memory"
-	"repro/internal/sched"
 	"repro/internal/tm"
-	"repro/internal/tmreg"
 )
 
 // E5Row is one cell of the contention-sweep ablation (experiment E5): a
@@ -65,21 +63,13 @@ func DefaultE5Config() E5Config {
 func RunE5(name string, cfg E5Config) ([]E5Row, error) {
 	var rows []E5Row
 	for _, wr := range cfg.WriteRatios {
-		mem := memory.New(cfg.Procs, nil)
-		tmi, err := tmreg.New(name, mem, cfg.Objects)
+		sc, err := newScenario(fmt.Sprintf("e5 %s wr=%.1f", name, wr), name, cfg.Procs, cfg.Objects, cfg.Seed, true)
 		if err != nil {
 			return nil, err
 		}
-		commits, aborts := 0, 0
-		scratch := make([]*memory.Obj, cfg.Procs)
-		for i := range scratch {
-			scratch[i] = mem.AllocAt(fmt.Sprintf("backoff[%d]", i), i)
-		}
-		s := sched.New(mem)
+		var t tally
 		for i := 0; i < cfg.Procs; i++ {
-			i := i
-			rng := newSplitMix(uint64(cfg.Seed)*912367 + uint64(i+1))
-			s.Go(i, func(p *memory.Proc) {
+			sc.spawn(i, 912367, func(p *memory.Proc, rng *splitMix) {
 				for n := 0; n < cfg.TxnsPerProc; n++ {
 					// Pre-draw the operation mix so retries replay the same
 					// transaction (as a real retry loop would).
@@ -91,68 +81,35 @@ func RunE5(name string, cfg E5Config) ([]E5Row, error) {
 							v:     rng.next() % 1000,
 						}
 					}
-					consecutive := 0
-					for {
-						committed, err := tm.Once(tmi, p, func(tx tm.Txn) error {
-							for _, op := range ops {
-								if op.write {
-									if err := tx.Write(op.x, op.v); err != nil {
-										return err
-									}
-								} else if _, err := tx.Read(op.x); err != nil {
+					var pace *pacer
+					if cfg.Backoff {
+						pace = sc.pacer(p, rng)
+					}
+					sc.retry(p, &t, pace, func(tx tm.Txn) error {
+						for _, op := range ops {
+							if op.write {
+								if err := tx.Write(op.x, op.v); err != nil {
 									return err
 								}
-							}
-							return nil
-						})
-						if err != nil {
-							panic(err)
-						}
-						if committed {
-							commits++
-							break
-						}
-						aborts++
-						consecutive++
-						if cfg.Backoff {
-							shift := consecutive
-							if shift > 8 {
-								shift = 8
-							}
-							spins := int(rng.next() % (uint64(1) << uint(shift)))
-							for b := 0; b < spins; b++ {
-								p.Read(scratch[i]) // local, accounted backoff step
+							} else if _, err := tx.Read(op.x); err != nil {
+								return err
 							}
 						}
-					}
+						return nil
+					})
 				}
 			})
 		}
-		if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-			return nil, fmt.Errorf("exp: e5 %s wr=%.1f: %w", name, wr, err)
+		if err := sc.run(); err != nil {
+			return nil, err
 		}
-		row := E5Row{
+		steps := sc.mem.TotalSteps()
+		rows = append(rows, E5Row{
 			TM: name, Procs: cfg.Procs, WriteRatio: wr,
-			Commits: commits, Aborts: aborts,
-			TotalSteps: mem.TotalSteps(),
-			Space:      mem.NumObjs(),
-		}
-		type versioned interface {
-			LiveVersions() int
-			Versions() int
-		}
-		if mv, ok := tmi.(versioned); ok {
-			// Multi-version TMs report *live* space: allocated arena slots
-			// never shrink, but GC bounds what stays reachable.
-			row.Space = mem.NumObjs() - 3*mv.Versions() + 3*mv.LiveVersions()
-		}
-		if commits+aborts > 0 {
-			row.AbortRatio = float64(aborts) / float64(commits+aborts)
-		}
-		if commits > 0 {
-			row.StepsPerTxn = float64(mem.TotalSteps()) / float64(commits)
-		}
-		rows = append(rows, row)
+			Commits: t.commits, Aborts: t.aborts, AbortRatio: t.abortRatio(),
+			TotalSteps: steps, StepsPerTxn: perCommit(steps, t.commits),
+			Space: sc.space(),
+		})
 	}
 	return rows, nil
 }
@@ -163,33 +120,31 @@ type wlOp struct {
 	v     uint64
 }
 
-// splitMix is the same tiny PRNG used by the conformance suite, duplicated
-// here so exp does not import a test-only package.
-type splitMix struct{ state uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{state: seed} }
-
-func (s *splitMix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// expBackoff spins a randomized, exponentially growing number of local
-// reads on the caller's scratch object after the consecutive-th failed
-// attempt — the inline backoff from RunE5's ablation, shared by the
-// high-contention scenarios (E13, E14) where an aggressive contention
-// manager would otherwise mutually abort forever. The spins are real
-// accounted steps, so backed-off runs pay for their waiting.
-func expBackoff(p *memory.Proc, scratch *memory.Obj, rng *splitMix, consecutive int) {
-	shift := consecutive
-	if shift > 8 {
-		shift = 8
-	}
-	spins := int(rng.next() % (uint64(1) << uint(shift)))
-	for b := 0; b < spins; b++ {
-		p.Read(scratch)
-	}
+func init() {
+	registerPerTM(Experiment{Name: "e5", Artifact: "Design ablation", Uses: "-tms -seed",
+		Title: "E5 — contention sweep: abort ratio and steps per committed txn"},
+		withVariants, []string{"tm", "write-ratio", "commits", "aborts", "abort-ratio", "steps/txn", "base-objects"},
+		func(t *Table, p Params, name string) error {
+			cfg := DefaultE5Config()
+			cfg.Seed = p.Seed
+			backoffs := []bool{false}
+			if name == "dstm" || name == "vrtm" {
+				// The contention-management ablation: the same sweep
+				// again with exponential backoff between retries.
+				backoffs = []bool{false, true}
+			}
+			for _, cfg.Backoff = range backoffs {
+				rows, err := RunE5(name, cfg)
+				if err != nil {
+					return err
+				}
+				for _, r := range rows {
+					if cfg.Backoff {
+						r.TM += "+backoff"
+					}
+					t.Add(r.TM, r.WriteRatio, r.Commits, r.Aborts, r.AbortRatio, r.StepsPerTxn, r.Space)
+				}
+			}
+			return nil
+		})
 }

@@ -45,15 +45,43 @@ type E7Config struct {
 // RunE7 executes the randomized workload under seeded random scheduling,
 // records the history, and applies every checker from internal/check.
 func RunE7(name string, cfg E7Config) (E7Row, error) {
+	_, h, err := driveE7(name, cfg)
+	if err != nil {
+		return E7Row{}, err
+	}
+	row := E7Row{
+		TM: name, Procs: cfg.Procs, TxnsPerProc: cfg.TxnsPerProc,
+		Objects: cfg.Objects, Seed: cfg.Seed,
+	}
+	for _, t := range h.Txns {
+		switch t.Status {
+		case tm.TxnCommitted:
+			row.Committed++
+		case tm.TxnAborted:
+			row.Aborted++
+		}
+	}
+	row.ProgressViolations = len(check.Progressive(h))
+	row.StrongViolations = len(check.StronglyProgressive(h))
+	if cfg.CheckOpacity {
+		row.OpacityChecked = true
+		row.Opaque = check.Opaque(h).OK
+		row.StrictSerializable = check.StrictlySerializable(h).OK
+	}
+	return row, nil
+}
+
+// driveE7 runs the workload and returns the recorded history with the
+// memory it ran on (whose object names the trace microscope resolves).
+func driveE7(name string, cfg E7Config) (*memory.Memory, *tm.History, error) {
 	mem := memory.New(cfg.Procs, nil)
 	base, err := tmreg.New(name, mem, cfg.Objects)
 	if err != nil {
-		return E7Row{}, err
+		return nil, nil, err
 	}
 	rec := tm.Record(base)
 	s := sched.New(mem)
 	for i := 0; i < cfg.Procs; i++ {
-		i := i
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
 		s.Go(i, func(p *memory.Proc) {
 			for t := 0; t < cfg.TxnsPerProc; t++ {
@@ -80,27 +108,24 @@ func RunE7(name string, cfg E7Config) (E7Row, error) {
 		})
 	}
 	if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-		return E7Row{}, fmt.Errorf("exp: e7 %s: %w", name, err)
+		return nil, nil, fmt.Errorf("exp: e7 %s: %w", name, err)
 	}
-	h := rec.History()
-	row := E7Row{
-		TM: name, Procs: cfg.Procs, TxnsPerProc: cfg.TxnsPerProc,
-		Objects: cfg.Objects, Seed: cfg.Seed,
-	}
-	for _, t := range h.Txns {
-		switch t.Status {
-		case tm.TxnCommitted:
-			row.Committed++
-		case tm.TxnAborted:
-			row.Aborted++
-		}
-	}
-	row.ProgressViolations = len(check.Progressive(h))
-	row.StrongViolations = len(check.StronglyProgressive(h))
-	if cfg.CheckOpacity {
-		row.OpacityChecked = true
-		row.Opaque = check.Opaque(h).OK
-		row.StrictSerializable = check.StrictlySerializable(h).OK
-	}
-	return row, nil
+	return mem, rec.History(), nil
+}
+
+func init() {
+	registerPerTM(Experiment{Name: "e7", Artifact: "Progress conditions", Uses: "-tms -seed",
+		Title: "E7 — randomized contention: progress and correctness checks"},
+		asRequested, []string{"tm", "committed", "aborted", "progress-viol", "strong-viol", "opaque", "strict-ser"},
+		func(t *Table, p Params, name string) error {
+			row, err := RunE7(name, E7Config{
+				Procs: 4, TxnsPerProc: 4, Objects: 4, OpsPerTxn: 3,
+				WriteRatio: 0.5, Seed: p.Seed, CheckOpacity: true,
+			})
+			if err != nil {
+				return err
+			}
+			t.Add(row.TM, row.Committed, row.Aborted, row.ProgressViolations, row.StrongViolations, row.Opaque, row.StrictSerializable)
+			return nil
+		})
 }

@@ -1,12 +1,8 @@
 package exp
 
 import (
-	"fmt"
-
 	"repro/internal/memory"
-	"repro/internal/sched"
 	"repro/internal/tm"
-	"repro/internal/tmreg"
 )
 
 // E9 is the STAMP-style scenario suite: mixed workloads whose read sets are
@@ -87,49 +83,28 @@ func RunE9(name string, cfg E9Config) ([]E9Row, error) {
 // runE9Scenario executes one scenario to completion on one TM under seeded
 // random scheduling.
 func runE9Scenario(name, scenario string, cfg E9Config) (E9Row, error) {
-	mem := memory.New(cfg.Procs, nil)
-	tmi, err := tmreg.New(name, mem, cfg.Objects)
+	sc, err := newScenario("e9 "+name+"/"+scenario, name, cfg.Procs, cfg.Objects, cfg.Seed, false)
 	if err != nil {
 		return E9Row{}, err
 	}
-	commits, aborts := 0, 0
-	s := sched.New(mem)
+	var t tally
 	for i := 0; i < cfg.Procs; i++ {
-		i := i
-		rng := newSplitMix(uint64(cfg.Seed)*48271 + uint64(i+1))
-		s.Go(i, func(p *memory.Proc) {
+		sc.spawn(i, 48271, func(p *memory.Proc, rng *splitMix) {
 			for n := 0; n < cfg.TxnsPerProc; n++ {
 				// Pre-draw the transaction so retries replay it exactly.
-				body := drawE9Txn(scenario, cfg, rng)
-				for {
-					committed, err := tm.Once(tmi, p, body)
-					if err != nil {
-						panic(err)
-					}
-					if committed {
-						commits++
-						break
-					}
-					aborts++
-				}
+				sc.retry(p, &t, nil, drawE9Txn(scenario, cfg, rng))
 			}
 		})
 	}
-	if err := s.Run(sched.NewRandom(cfg.Seed)); err != nil {
-		return E9Row{}, fmt.Errorf("exp: e9 %s/%s: %w", name, scenario, err)
+	if err := sc.run(); err != nil {
+		return E9Row{}, err
 	}
-	row := E9Row{
+	steps := sc.mem.TotalSteps()
+	return E9Row{
 		TM: name, Scenario: scenario, Procs: cfg.Procs,
-		Commits: commits, Aborts: aborts,
-		TotalSteps: mem.TotalSteps(),
-	}
-	if commits+aborts > 0 {
-		row.AbortRatio = float64(aborts) / float64(commits+aborts)
-	}
-	if commits > 0 {
-		row.StepsPerTxn = float64(mem.TotalSteps()) / float64(commits)
-	}
-	return row, nil
+		Commits: t.commits, Aborts: t.aborts, AbortRatio: t.abortRatio(),
+		TotalSteps: steps, StepsPerTxn: perCommit(steps, t.commits),
+	}, nil
 }
 
 // drawE9Txn draws one transaction body for the scenario from rng. The
@@ -142,29 +117,11 @@ func drawE9Txn(scenario string, cfg E9Config, rng *splitMix) func(tm.Txn) error 
 			// Point update racing the scans.
 			x := int(rng.next() % uint64(cfg.Objects))
 			delta := rng.next() % 100
-			return func(tx tm.Txn) error {
-				v, err := tx.Read(x)
-				if err != nil {
-					return err
-				}
-				return tx.Write(x, v+delta)
-			}
+			return rmw(x, delta)
 		}
 		// Ordered scan of a contiguous window: the long read set.
 		start := int(rng.next() % uint64(cfg.Objects))
-		length := cfg.ScanLen
-		return func(tx tm.Txn) error {
-			var sum uint64
-			for j := 0; j < length; j++ {
-				v, err := tx.Read((start + j) % cfg.Objects)
-				if err != nil {
-					return err
-				}
-				sum += v
-			}
-			_ = sum
-			return nil
-		}
+		return readAll(window(start, cfg.ScanLen, cfg.Objects))
 	case "reservation":
 		half := cfg.Objects / 2
 		customer := int(rng.next() % uint64(half))
@@ -202,4 +159,22 @@ func drawE9Txn(scenario string, cfg E9Config, rng *splitMix) func(tm.Txn) error 
 	default:
 		panic("exp: unknown e9 scenario " + scenario)
 	}
+}
+
+func init() {
+	registerPerTM(Experiment{Name: "e9", Artifact: "Scenario suite (STAMP-style)", Native: "BenchmarkE9Native", Uses: "-tms -seed",
+		Title: "E9 — scenario suite: ordered-index scans and two-table reservations"},
+		withVariants, []string{"tm", "scenario", "commits", "aborts", "abort-ratio", "steps/txn"},
+		func(t *Table, p Params, name string) error {
+			cfg := DefaultE9Config()
+			cfg.Seed = p.Seed
+			rows, err := RunE9(name, cfg)
+			if err != nil {
+				return err
+			}
+			for _, r := range rows {
+				t.Add(r.TM, r.Scenario, r.Commits, r.Aborts, r.AbortRatio, r.StepsPerTxn)
+			}
+			return nil
+		})
 }

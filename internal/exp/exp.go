@@ -1,13 +1,15 @@
 // Package exp is the experiment harness: it drives the workloads of the
-// per-experiment index in DESIGN.md (E1..E11), producing the rows that
-// the benchmarks, the tmbench CLI and EXPERIMENTS.md report. Each
-// experiment reproduces one artifact of the paper — see the function
-// comments.
+// per-experiment index in DESIGN.md, producing the rows the benchmarks
+// report and the tables tmbench prints. Each experiment reproduces one
+// artifact of the paper (see the function comments) and registers itself,
+// with its table, in the registry of registry.go.
 package exp
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
 
 	"repro/internal/memory"
 	"repro/internal/tm"
@@ -235,4 +237,64 @@ func RunE6(ms []int) ([]E6Row, error) {
 		out[i] = E6Row{M: r.M, Measured: r.TotalSteps, Formula: m*(m-1)/2 + 3*m}
 	}
 	return out, nil
+}
+
+// lemma2Table prints one E1/E2 table: rows per TM and read-set size, solo
+// or against the adversary. A blocking TM cannot face the adversary and is
+// skipped with a note; any other failure fails the run.
+func lemma2Table(w io.Writer, e Experiment, p Params, header []string, add func(t *Table, name string) error) error {
+	return perTM(w, e.Title+", "+p.mode(), header, p.TMs, func(t *Table, name string) error {
+		err := add(t, name)
+		if errors.Is(err, ErrBlockingTM) {
+			fmt.Fprintf(os.Stderr, "skipping %s: %v\n", name, err)
+			return nil
+		}
+		return err
+	})
+}
+
+func init() {
+	e1 := Experiment{Name: "e1", Artifact: "Theorem 3(1)", Uses: "-tms -ms -adversary",
+		Title: "E1 (Theorem 3(1)) — reader steps"}
+	e1.Run = func(w io.Writer, p Params) error {
+		header := []string{"tm", "m", "attempts", "total-steps", "last-read-steps", "m(m-1)/2"}
+		return lemma2Table(w, e1, p, header, func(t *Table, name string) error {
+			rows, err := RunE1(name, p.Ms, p.Adversary)
+			for _, r := range rows {
+				t.Add(r.TM, r.M, r.Attempts, r.TotalSteps, r.LastReadSteps, uint64(r.M)*uint64(r.M-1)/2)
+			}
+			return err
+		})
+	}
+	Register(e1)
+
+	e2 := Experiment{Name: "e2", Artifact: "Theorem 3(2)", Uses: "-tms -ms -adversary",
+		Title: "E2 (Theorem 3(2)) — distinct base objects in last read + tryC"}
+	e2.Run = func(w io.Writer, p Params) error {
+		header := []string{"tm", "m", "distinct-objects", "bound(m-1)"}
+		return lemma2Table(w, e2, p, header, func(t *Table, name string) error {
+			rows, err := RunE2(name, p.Ms, p.Adversary)
+			for _, r := range rows {
+				t.Add(r.TM, r.M, r.DistinctObjs, r.Bound)
+			}
+			return err
+		})
+	}
+	Register(e2)
+
+	e6 := Experiment{Name: "e6", Artifact: "Section 6 tightness", Uses: "-ms",
+		Title: "E6 (Section 6) — irtm tightness vs m(m-1)/2 + 3m"}
+	e6.Run = func(w io.Writer, p Params) error {
+		rows, err := RunE6(p.Ms)
+		if err != nil {
+			return err
+		}
+		t := Table{Title: e6.Title, Header: []string{"m", "measured-steps", "formula", "match"}}
+		for _, r := range rows {
+			t.Add(r.M, r.Measured, r.Formula, r.Measured == r.Formula)
+		}
+		t.Print(w)
+		return nil
+	}
+	Register(e6)
 }

@@ -6,8 +6,8 @@ import (
 	"strings"
 )
 
-// Table is a minimal fixed-width table renderer for experiment output; the
-// tmbench CLI and EXPERIMENTS.md use the same rows the benchmarks report.
+// Table is a minimal fixed-width table renderer for experiment output:
+// tmbench prints the same rows the benchmarks report.
 type Table struct {
 	Title  string
 	Header []string

@@ -2,7 +2,7 @@
 // Kuznetsov & Ravi, "Progressive Transactional Memory in Time and Space"
 // (PACT 2015). It re-exports the building blocks a user needs to
 //
-//   - run TM algorithms (irtm, tl2, norec, vrtm, sgltm, mvtm) on the
+//   - run TM algorithms (irtm, tl2, norec, vrtm, sgltm, mvtm, …) on the
 //     instrumented shared-memory simulator and measure steps, distinct base
 //     objects and RMRs (internal/memory, internal/tm/*),
 //   - construct the paper's executions (Lemma 2, Claim 4) and check
@@ -17,7 +17,7 @@
 // For writing concurrent Go programs with transactions (the adoptable
 // library rather than the research instrument), see the sibling package
 // repro/stm and its containers (Map, OrderedMap, Queue). README.md is the
-// guided tour; DESIGN.md holds the per-experiment index (E1–E11) and the
+// guided tour; DESIGN.md holds the per-experiment index and the
 // engine's soundness arguments.
 package progressivetm
 
@@ -58,8 +58,6 @@ type (
 	Lock = mutex.Lock
 	// Scheduler deterministically interleaves processes.
 	Scheduler = sched.Scheduler
-	// Table renders experiment rows.
-	Table = exp.Table
 )
 
 // ErrAborted is the A_k response: the transaction aborted.
@@ -80,21 +78,10 @@ func NewMemory(nprocs int, model string) *Memory {
 }
 
 // CacheModels lists the cache model names ("cc-wt", "cc-wb", "dsm").
-func CacheModels() []string {
-	names := make([]string, 0, 3)
-	for _, m := range memory.Models() {
-		names = append(names, m.Name())
-	}
-	return names
-}
+func CacheModels() []string { return exp.DefaultParams().Models }
 
 // Algorithms lists the available TM algorithm names.
 func Algorithms() []string { return tmreg.Names() }
-
-// ClockVariants lists the TL2 clock-strategy/extension variant names
-// ("tl2:gv4", "tl2:ext", …) accepted by NewTM and swept by the E5
-// clock-strategy axis.
-func ClockVariants() []string { return tmreg.ClockVariants() }
 
 // NewTM builds the named TM algorithm over nobj t-objects on mem.
 func NewTM(name string, mem *Memory, nobj int) (TM, error) {
@@ -117,23 +104,6 @@ func RandomPolicy(seed int64) sched.Policy { return sched.NewRandom(seed) }
 
 // RoundRobinPolicy returns a fair rotating scheduling policy.
 func RoundRobinPolicy() sched.Policy { return &sched.RoundRobin{} }
-
-// ReplayPolicy replays an explicit schedule (e.g. an Explore
-// counterexample).
-func ReplayPolicy(trace []int) sched.Policy { return sched.NewReplay(trace) }
-
-// ExploreOpts bounds a systematic schedule exploration.
-type ExploreOpts = sched.ExploreOpts
-
-// ExploreResult summarizes a systematic schedule exploration.
-type ExploreResult = sched.ExploreResult
-
-// Explore model-checks a program over every schedule within a preemption
-// bound; see sched.Explore. build must construct a fresh system under test
-// and return its scheduler plus a post-run property check.
-func Explore(build func() (*Scheduler, func() error), opts ExploreOpts) (ExploreResult, error) {
-	return sched.Explore(build, opts)
-}
 
 // Locks lists the mutual-exclusion algorithms, including "lm:<tm>" for
 // Algorithm 1 over each strongly progressive TM.
@@ -169,82 +139,24 @@ func Lemma2(tmName string, i int) (core.Lemma2Result, error) { return core.Lemma
 // Claim4 builds the execution π^{i−1}·β^ℓ·ρ^i·α^i_j for the named TM.
 func Claim4(tmName string, i, l int) (core.Claim4Outcome, error) { return core.Claim4(tmName, i, l) }
 
-// Experiment runners (internal/exp); see DESIGN.md's per-experiment index.
+// Experiments (internal/exp); see DESIGN.md's per-experiment index.
 
-// RunE1 measures read-only step complexity (Theorem 3(1)).
-func RunE1(tmName string, ms []int, adversary bool) ([]exp.E1Row, error) {
-	return exp.RunE1(tmName, ms, adversary)
-}
+// Params is the parameter set every experiment reads; each takes the
+// fields its Experiment.Uses names.
+type Params = exp.Params
 
-// RunE2 measures distinct base objects in the last read + tryC
-// (Theorem 3(2)).
-func RunE2(tmName string, ms []int, adversary bool) ([]exp.E2Row, error) {
-	return exp.RunE2(tmName, ms, adversary)
-}
+// Experiment is one registered experiment: name, artifact, table title,
+// native benchmark and runner.
+type Experiment = exp.Experiment
 
-// RunE3 measures total RMRs of contended mutual exclusion (Theorem 9).
-func RunE3(lock, model string, ns []int, k int, seed int64) ([]exp.E3Row, error) {
-	return exp.RunE3(lock, model, ns, k, seed)
-}
+// DefaultParams is every TM, lock and cache model at the committed
+// tables' sizes; narrow it before passing it to RunExperiment.
+func DefaultParams() Params { return exp.DefaultParams() }
 
-// RunE4 splits L(M)'s RMRs into TM and hand-off parts (Theorem 7).
-func RunE4(lock, model string, ns []int, k int, seed int64) ([]exp.E4Row, error) {
-	return exp.RunE4(lock, model, ns, k, seed)
-}
+// Experiments lists the registered experiments in table order (E8, which
+// drives the native engines, is registered by cmd/tmbench alone).
+func Experiments() []Experiment { return exp.All() }
 
-// RunE5 runs the contention-sweep ablation (abort ratio, steps/commit).
-func RunE5(tmName string, cfg exp.E5Config) ([]exp.E5Row, error) { return exp.RunE5(tmName, cfg) }
-
-// RunE6 checks the exact tightness formula of Section 6.
-func RunE6(ms []int) ([]exp.E6Row, error) { return exp.RunE6(ms) }
-
-// RunE7 runs the randomized progress/correctness experiment.
-func RunE7(tmName string, cfg exp.E7Config) (exp.E7Row, error) { return exp.RunE7(tmName, cfg) }
-
-// RunE9 runs the STAMP-style scenario suite (ordered-index scans racing
-// point updates; two-table reservations).
-func RunE9(tmName string, cfg exp.E9Config) ([]exp.E9Row, error) { return exp.RunE9(tmName, cfg) }
-
-// RunE10 runs the read-mostly serving scenario (Zipf hot-key gets and
-// ordered scans racing a small writer pool), optionally declaring read
-// transactions read-only via the tm.ReadOnlyHinter fast path.
-func RunE10(tmName string, cfg exp.E10Config) (exp.E10Row, error) { return exp.RunE10(tmName, cfg) }
-
-// RunE11 runs the long-scan/HTAP scenario (long ordered scans and
-// multi-key aggregates racing a writer pool): the table where the
-// multi-version TMs' zero read-side aborts meet their space bill. The
-// native counterpart is BenchmarkE11NativeScan (repro/stm vs
-// repro/stm/mvstm).
-func RunE11(tmName string, cfg exp.E11Config) (exp.E11Row, error) { return exp.RunE11(tmName, cfg) }
-
-// RunE12 runs the hostile-tenant scenario (unbounded full-table scans
-// sharing a TM with a pool of point writers), optionally enforcing a
-// per-attempt step budget on the hostile tenants — the harness-level
-// model of repro/stm's work budgets and ErrOutOfBudget. The native
-// counterpart is BenchmarkE12HostileTenant (repro/stm and
-// repro/stm/mvstm under a real BudgetPolicy).
-func RunE12(tmName string, cfg exp.E12Config) (exp.E12Row, error) { return exp.RunE12(tmName, cfg) }
-
-// RunE13 runs the graph-routing scenario (STAMP labyrinth shape: routers
-// claiming long speculative paths through a shared grid, write sets as
-// large as read sets), optionally metering each attempt with a step
-// budget so over-long routes are refused. The native counterpart is
-// BenchmarkE13GraphRouting (repro/stm and repro/stm/mvstm).
-func RunE13(tmName string, cfg exp.E13Config) (exp.E13Row, error) { return exp.RunE13(tmName, cfg) }
-
-// RunE14 runs the clustering scenario (STAMP kmeans shape: tiny
-// read-modify-writes funneled onto K shared centroid accumulators, with
-// periodic full-width recenter passes) — the high-contention point-RMW
-// counterpart of E13's long routes. The native counterpart is
-// BenchmarkE14Clustering (repro/stm and repro/stm/norecstm).
-func RunE14(tmName string, cfg exp.E14Config) (exp.E14Row, error) { return exp.RunE14(tmName, cfg) }
-
-// RunE15 runs the producer/consumer pipeline scenario (a bounded queue
-// where transactions are the coordination: producers poll under
-// backpressure, consumers poll under starvation). The native counterpart
-// is BenchmarkE15Pipeline, where stm.Queue's Retry replaces polling with
-// composable blocking.
-func RunE15(tmName string, cfg exp.E15Config) (exp.E15Row, error) { return exp.RunE15(tmName, cfg) }
-
-// PrintTable renders rows produced by the Run* helpers.
-func PrintTable(w io.Writer, t *Table) { t.Print(w) }
+// RunExperiment prints the named experiment's tables to w, exactly as
+// `tmbench -exp name` does; "all" runs the default sweep.
+func RunExperiment(w io.Writer, name string, p Params) error { return exp.Run(w, name, p) }

@@ -1,11 +1,11 @@
 package progressivetm_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
 	ptm "repro"
-	"repro/internal/exp"
 )
 
 // TestFacadeEndToEnd drives the whole public surface once: build a memory,
@@ -54,90 +54,29 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFacadeRunE11 smoke-tests the E11 facade runner: the multi-version
-// row must complete its quota with zero read-side aborts.
-func TestFacadeRunE11(t *testing.T) {
-	cfg := exp.DefaultE11Config()
-	cfg.Procs, cfg.TxnsPerProc = 4, 4
-	row, err := ptm.RunE11("mvtm-gc", cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestFacadeRunExperiment runs every registered experiment through the
+// facade at a tiny Params and expects a table on the writer: the facade
+// reads the same registry tmbench does, so an experiment cannot be
+// registered and left unreachable here. What each table must say is
+// pinned, across all TMs, by internal/exp's own suites.
+func TestFacadeRunExperiment(t *testing.T) {
+	p := ptm.DefaultParams()
+	p.TMs, p.Locks, p.Models = []string{"tl2", "mvtm-gc"}, []string{"lm:irtm", "mcs"}, []string{"cc-wb"}
+	p.Ms, p.Ns, p.K = []int{4}, []int{2}, 2
+	p.In = strings.NewReader(`{"Txns": [{"ID": 0, "Status": 1, "EndSeq": 2, "Ops": [{"Seq": 1, "Kind": 1, "Value": 5}, {"Seq": 2, "Kind": 2}]}]}`)
+	for _, e := range ptm.Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			var out strings.Builder
+			if err := ptm.RunExperiment(&out, e.Name, p); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Count(out.String(), "\n") < 4 { // title, header, rule, a row
+				t.Errorf("no table printed:\n%s", out.String())
+			}
+		})
 	}
-	if row.Commits != cfg.Procs*cfg.TxnsPerProc {
-		t.Fatalf("commits = %d, want %d", row.Commits, cfg.Procs*cfg.TxnsPerProc)
-	}
-	if row.ReadAborts != 0 {
-		t.Fatalf("multi-version read aborts = %d, want 0", row.ReadAborts)
-	}
-}
-
-// TestFacadeRunE12 smoke-tests the E12 facade runner: with a step grant
-// below the scan length every hostile scan is refused, and the victims
-// still complete their quota.
-func TestFacadeRunE12(t *testing.T) {
-	cfg := exp.DefaultE12Config()
-	cfg.Procs, cfg.TxnsPerProc, cfg.HostileTxns = 4, 4, 4
-	row, err := ptm.RunE12("tl2", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victims := (cfg.Procs - cfg.Hostiles) * cfg.TxnsPerProc
-	if row.VictimCommits != victims {
-		t.Fatalf("victim commits = %d, want %d", row.VictimCommits, victims)
-	}
-	if row.HostileBudgetAborts != cfg.Hostiles*cfg.HostileTxns {
-		t.Fatalf("hostile refusals = %d, want %d", row.HostileBudgetAborts, cfg.Hostiles*cfg.HostileTxns)
-	}
-	if row.HostileCommits != 0 {
-		t.Fatalf("hostile commits = %d under an insufficient grant", row.HostileCommits)
-	}
-}
-
-// TestFacadeRunE13 smoke-tests the E13 facade runner: every route
-// resolves exactly one way, and with no budget none is refused.
-func TestFacadeRunE13(t *testing.T) {
-	cfg := exp.DefaultE13Config()
-	cfg.Procs, cfg.RoutesPerProc = 4, 3
-	row, err := ptm.RunE13("tl2", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quota := cfg.Procs * cfg.RoutesPerProc
-	if got := row.Routed + row.Replanned + row.Refused; got != quota {
-		t.Fatalf("routes resolved %d ways, want %d", got, quota)
-	}
-	if row.Refused != 0 {
-		t.Fatalf("refused = %d with no budget", row.Refused)
-	}
-}
-
-// TestFacadeRunE14 smoke-tests the E14 facade runner: the commit quota is
-// fixed by the config (assignments plus recenter passes).
-func TestFacadeRunE14(t *testing.T) {
-	cfg := exp.DefaultE14Config()
-	cfg.Procs, cfg.PointsPerProc, cfg.RecenterEvery = 4, 8, 4
-	row, err := ptm.RunE14("tl2", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cfg.Procs*cfg.PointsPerProc + cfg.Procs*(cfg.PointsPerProc/cfg.RecenterEvery)
-	if row.Commits != want {
-		t.Fatalf("commits = %d, want %d", row.Commits, want)
-	}
-}
-
-// TestFacadeRunE15 smoke-tests the E15 facade runner: the full item flow
-// passes through the pipe (RunE15 cross-checks the checksum itself).
-func TestFacadeRunE15(t *testing.T) {
-	cfg := exp.DefaultE15Config()
-	cfg.Producers, cfg.Consumers, cfg.ItemsPerProducer = 2, 2, 6
-	row, err := ptm.RunE15("tl2", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := cfg.Producers * cfg.ItemsPerProducer
-	if row.Produced != want || row.Consumed != want {
-		t.Fatalf("produced %d, consumed %d, want %d each", row.Produced, row.Consumed, want)
+	if err := ptm.RunExperiment(io.Discard, "e99", p); err == nil || !strings.Contains(err.Error(), "e15") {
+		t.Errorf("unknown experiment: err = %v, want the valid names", err)
 	}
 }
 
