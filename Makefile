@@ -9,7 +9,7 @@ GO ?= go
 # BENCH_$(PR).json and bench-diff/bench-delta/bench-gate read it — the one
 # place the baseline is named (CI calls bench-delta). Override per PR
 # line (make bench-baseline PR=PR9) instead of hand-editing the recipes.
-PR ?= PR17
+PR ?= PR19
 BASELINE = BENCH_$(PR).json
 
 # -cpu 4 pins the GOMAXPROCS≥4 regime the contention benchmarks target;
@@ -33,24 +33,28 @@ BASELINE = BENCH_$(PR).json
 # The four handler cells (BenchmarkHandlerGet/Put/Batch/Scan) enter it one
 # layer up, at Server.Handler().ServeHTTP with no socket, so a handler
 # cell minus the router cell below it is the codec and the middlewares.
-E8_BENCH = BenchmarkE8|BenchmarkE9Native|BenchmarkE10Native|BenchmarkE11Native|BenchmarkE12Hostile|BenchmarkE13GraphRouting|BenchmarkE14Clustering|BenchmarkE15Pipeline|BenchmarkROFastPath|BenchmarkVarContended|BenchmarkContentionSweep|BenchmarkMapDisjointPut|BenchmarkMapMixed|BenchmarkOrderedMap|BenchmarkRouter|BenchmarkHandler
+# BenchmarkMVTransfer (stm/mvstm) is the multi-version engine's smallest
+# update transaction, the cell that holds its write path at 0 allocs/op.
+E8_BENCH = BenchmarkE8|BenchmarkE9Native|BenchmarkE10Native|BenchmarkE11Native|BenchmarkE12Hostile|BenchmarkE13GraphRouting|BenchmarkE14Clustering|BenchmarkE15Pipeline|BenchmarkROFastPath|BenchmarkVarContended|BenchmarkContentionSweep|BenchmarkMapDisjointPut|BenchmarkMapMixed|BenchmarkOrderedMap|BenchmarkRouter|BenchmarkHandler|BenchmarkMVTransfer
 # -benchmem records B/op and allocs/op in every baseline — the input the
 # bench-gate zero-allocation assertion reads.
 E8_FLAGS = -run '^$$' -bench '$(E8_BENCH)' -benchtime 0.2s -count 8 -cpu 4 -benchmem -timeout 30m
-E8_PKGS = . ./stm ./internal/server
+E8_PKGS = . ./stm ./stm/mvstm ./internal/server
 
 # ZEROALLOC names the steady-state cells that must never allocate: the
 # single-writer mvstm snapshot cells of the E11 HTAP scan (pooled version
-# chains), both read-only fast-path cells, and a GET /get from the handler
-# down (pooled codec, a one-read read-only transaction). bench-gate fails if any of
-# them reports a nonzero allocs/op. The writers=4 mvstm cells are
-# deliberately excluded: at -cpu 4 they run five pinned goroutines on four
+# chains), both read-only fast-path cells, a GET /get from the handler
+# down (pooled codec, a one-read read-only transaction), and the mvstm
+# two-Var transfer (typed chains: a committed Set writes into a pooled
+# chain build). bench-gate fails if any of them reports a nonzero
+# allocs/op. The writers=4 mvstm cells are deliberately excluded: at
+# -cpu 4 they run five pinned goroutines on four
 # Ps, so one is always descheduled mid-pin, freezing the epoch floor for a
 # scheduler quantum while the running writers retire chains — the retired
 # lists overflow and drop to the GC by design (see "Pooled version chains"
 # in DESIGN.md; buffering past a quantum just trades the misses for GC
 # pressure).
-ZEROALLOC = E11NativeScan/.*writers=1/engine=mvstm|BenchmarkROFastPath|BenchmarkHandlerGet
+ZEROALLOC = E11NativeScan/.*writers=1/engine=mvstm|BenchmarkROFastPath|BenchmarkHandlerGet|BenchmarkMVTransfer
 
 .PHONY: test race loc server-test bench-smoke bench-e8 bench-baseline bench-diff bench-delta bench-gate bench-scaling fuzz-smoke overhead-smoke docs-check
 
@@ -177,8 +181,11 @@ ONE_DEFINITION = 'type [aA]bortReasons struct' 'func [rR]unAttempt[\[(]' \
 # docs-check keeps the documentation executable: formatting, vet, and
 # every Example function in the repository (the README quickstart mirrors
 # ExampleAtomically, so a rotted example fails CI here) — and the
-# one-definition rule above.
+# one-definition rule above. It also fails when the index holds a path
+# .gitignore ignores: a build product committed by accident.
 docs-check:
+	@ignored=$$(git ls-files -ci --exclude-standard); if [ -n "$$ignored" ]; then \
+	  echo "tracked although .gitignore ignores them (git rm --cached):"; echo "$$ignored"; exit 1; fi
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 	  echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 	@for pat in $(ONE_DEFINITION); do \

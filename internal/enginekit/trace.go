@@ -7,8 +7,9 @@ package enginekit
 // of the read-only paths), buffered writes, and the commit/abort outcome
 // — so a bounded concurrent workload yields an internal/tm.History that
 // the internal/check oracles (Opaque, StrictlySerializable) can verify
-// and cmd/opacheck can consume as JSON. The opacity, GC-truncation and
-// hostile-schedule tests of all three engines are built on it.
+// and `tmbench -exp check` can consume as JSON. The opacity,
+// GC-truncation and hostile-schedule tests of all three engines are built
+// on it.
 //
 // The engines reach StartTrace/StopTrace only from export_test.go, and
 // must call them with no transaction in flight (tests start tracing

@@ -23,7 +23,10 @@
 // under this tag.
 package mempool
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // nClasses is the number of capacity classes: class 0 holds objects with
 // no buffer (capacity 0), class i ≥ 1 holds capacity minCap<<(i-1).
@@ -63,6 +66,38 @@ func NewClassPool[T any](newFn func(capacity int) *T, capOf func(*T) int, reset 
 		panic("mempool: NewClassPool requires new and capOf hooks")
 	}
 	return &ClassPool[T]{newFn: newFn, capOf: capOf, resetFn: reset}
+}
+
+// shared holds the process-wide pool of each object type, keyed by the
+// typed nil pointer (*T)(nil) — a key built without reflection or
+// allocation. The value is a *any holding that type's *ClassPool[T]; the
+// indirection lets lastShared republish an entry without allocating.
+var shared sync.Map
+
+// lastShared is the entry Shared resolved most recently: a program pools
+// few object types and constructs runs of one, so most lookups end at a
+// pointer load and a type check instead of a map load.
+var lastShared atomic.Pointer[any]
+
+// Shared returns the one process-wide pool of T objects, building it with
+// build on first use. Go has no generic package-level variables, so a
+// generic package that pools per-instantiation objects (mvstm's chain[T])
+// resolves its pool here once per object it constructs and keeps the
+// pointer.
+func Shared[T any](build func() *ClassPool[T]) *ClassPool[T] {
+	if e := lastShared.Load(); e != nil {
+		if p, ok := (*e).(*ClassPool[T]); ok {
+			return p
+		}
+	}
+	key := any((*T)(nil))
+	e, ok := shared.Load(key)
+	if !ok {
+		box := any(build())
+		e, _ = shared.LoadOrStore(key, &box)
+	}
+	lastShared.Store(e.(*any))
+	return (*e.(*any)).(*ClassPool[T])
 }
 
 // classFor returns the class index whose capacity is the smallest that

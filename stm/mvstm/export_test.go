@@ -1,6 +1,8 @@
 package mvstm
 
 import (
+	"unsafe"
+
 	"repro/internal/syncpoint"
 	"repro/internal/tm"
 	"repro/internal/tm/lockword"
@@ -90,3 +92,7 @@ func ActivePins() int {
 	}
 	return n
 }
+
+// VersionSize reports the bytes one retained version of a Var[T] takes in
+// its chain.
+func VersionSize[T any]() uintptr { return unsafe.Sizeof(version[T]{}) }

@@ -10,6 +10,11 @@ package mvstm_test
 // snapshot must keep returning the model state captured at its pin, no
 // matter how many versions writers push or the GC reclaims meanwhile.
 //
+// Each hot key also carries a mixed record — four Vars of different types
+// (int64, string, struct, slice; see typed_test.go) kept in agreement —
+// so the chains of heterogeneous Vars cross one write set, the promotion
+// past writeSetMapThreshold, GC truncation and the pinned snapshot too.
+//
 // CI runs this as a smoke job (`go test -fuzz=FuzzMVStm -fuzztime=10s`,
 // see make fuzz-smoke); a plain `go test` replays just the seeds.
 
@@ -40,18 +45,28 @@ type pinnedSnap struct {
 	req  chan int
 	resp chan int
 	done chan struct{}
-	// model is the model state captured when the snapshot pinned.
-	model [fuzzVars]int
+	// model and recModel are the model state captured when the snapshot
+	// pinned.
+	model    [fuzzVars]int
+	recModel [fuzzHot]int64
 }
 
-func openPinnedSnap(vars []*mvstm.Var[int], model *[fuzzVars]int) *pinnedSnap {
-	p := &pinnedSnap{req: make(chan int), resp: make(chan int), done: make(chan struct{}), model: *model}
+// openPinnedSnap serves vars[i] for a request i ≥ 0 and the mixed record
+// recs[-i-1] for i < 0 (-1 standing for a torn record).
+func openPinnedSnap(vars []*mvstm.Var[int], recs []mixed, model *[fuzzVars]int, recModel *[fuzzHot]int64) *pinnedSnap {
+	p := &pinnedSnap{req: make(chan int), resp: make(chan int), done: make(chan struct{}), model: *model, recModel: *recModel}
 	ready := make(chan struct{})
 	go func() {
 		_ = mvstm.AtomicallyRO(func(tx *mvstm.Tx) error {
 			close(ready)
 			for i := range p.req {
-				p.resp <- vars[i].Get(tx)
+				if i >= 0 {
+					p.resp <- vars[i].Get(tx)
+				} else if n, err := recs[-i-1].get(tx); err != nil {
+					p.resp <- -1
+				} else {
+					p.resp <- int(n)
+				}
 			}
 			return nil
 		})
@@ -104,7 +119,7 @@ func FuzzMVStm(f *testing.F) {
 	// GC truncation inside a pin window — the schedtest counterexample
 	// shape (TestSchedPinnedSnapshotVsGCTruncation): pin a snapshot over a
 	// two-Var pair, then churn BOTH Vars past the sweep trigger (twice the
-	// retention) so buildChain considers truncation while the pin is the
+	// retention) so Var.build considers truncation while the pin is the
 	// oldest active reader, read the pair through the pin mid-churn and
 	// after, then unpin and verify the post-churn world.
 	truncInWindow := []byte{0, 0, 1, 0, 1, 2, 3, 0, 0}
@@ -115,6 +130,17 @@ func FuzzMVStm(f *testing.F) {
 	}
 	truncInWindow = append(truncInWindow, 2, 0, 0, 5, 0, 0, 2, 0, 0)
 	f.Add(truncInWindow)
+	// Heterogeneous write sets: a pinned snapshot, then mixed-record
+	// transactions narrow (sorted write set) and wide (30 int Vars plus
+	// all 32 typed ones: promotion and the commit-time re-sort), repeated
+	// until the typed chains cross the sweep trigger inside the pin
+	// window, with readbacks through the pin and after it.
+	hetero := []byte{8, 0, 5, 3, 0, 0}
+	for i := 0; i <= 2*fuzzRetention; i++ {
+		hetero = append(hetero, 8, byte(i), byte(40+i), 8, 1, 29, 4, byte(i), 0)
+	}
+	hetero = append(hetero, 2, 0, 0, 5, 0, 0, 8, 3, 32, 2, 0, 0)
+	f.Add(hetero)
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		mvstm.SetRetention(fuzzRetention)
@@ -123,7 +149,33 @@ func FuzzMVStm(f *testing.F) {
 		for i := range vars {
 			vars[i] = mvstm.NewVar(0)
 		}
+		recs := make([]mixed, fuzzHot)
+		for i := range recs {
+			recs[i] = newMixed()
+		}
 		var model [fuzzVars]int
+		var recModel [fuzzHot]int64
+		// readback checks every Var and record in one snapshot transaction.
+		readback := func(what string) {
+			var got [fuzzVars]int
+			var gotRec [fuzzHot]int64
+			if err := mvstm.AtomicallyRO(func(tx *mvstm.Tx) (err error) {
+				for j := range vars {
+					got[j] = vars[j].Get(tx)
+				}
+				for j := range recs {
+					if gotRec[j], err = recs[j].get(tx); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if got != model || gotRec != recModel {
+				t.Fatalf("%s %v %v, model %v %v", what, got, gotRec, model, recModel)
+			}
+		}
 		var pin *pinnedSnap
 		defer func() {
 			if pin != nil {
@@ -131,7 +183,7 @@ func FuzzMVStm(f *testing.F) {
 			}
 		}()
 		for i := 0; i+2 < len(ops); i += 3 {
-			kind, k, val := ops[i]%8, int(ops[i+1])%fuzzHot, int(ops[i+2])
+			kind, k, val := ops[i]%9, int(ops[i+1])%fuzzHot, int(ops[i+2])
 			switch kind {
 			case 0: // write
 				if err := mvstm.Atomically(func(tx *mvstm.Tx) error {
@@ -150,26 +202,18 @@ func FuzzMVStm(f *testing.F) {
 				}
 				model[k] += val
 			case 2: // snapshot readback of every Var
-				var got [fuzzVars]int
-				if err := mvstm.AtomicallyRO(func(tx *mvstm.Tx) error {
-					for j := range vars {
-						got[j] = vars[j].Get(tx)
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-				if got != model {
-					t.Fatalf("snapshot readback %v, model %v", got, model)
-				}
+				readback("snapshot readback")
 			case 3: // open the pinned snapshot (no-op if already open)
 				if pin == nil {
-					pin = openPinnedSnap(vars, &model)
+					pin = openPinnedSnap(vars, recs, &model, &recModel)
 				}
 			case 4: // read through the pinned snapshot: pre-pin model state
 				if pin != nil {
 					if got := pin.read(k); got != pin.model[k] {
 						t.Fatalf("pinned read var %d = %d, want the pin-time value %d", k, got, pin.model[k])
+					}
+					if got := pin.read(-k - 1); got != int(pin.recModel[k]) {
+						t.Fatalf("pinned read record %d = %d, want the pin-time value %d", k, got, pin.recModel[k])
 					}
 				}
 			case 5: // close the pinned snapshot
@@ -198,6 +242,26 @@ func FuzzMVStm(f *testing.F) {
 				if got := vars[k].Load(); got != model[k] {
 					t.Fatalf("Load(var %d) = %d, model %d", k, got, model[k])
 				}
+			case 8: // mixed records and int Vars in ONE transaction: up to
+				// 33 ints plus four typed Vars for each of up to 8 records.
+				count := val%33 + 1
+				if err := mvstm.Atomically(func(tx *mvstm.Tx) error {
+					for j := 0; j < count; j++ {
+						vars[(k+j)%fuzzVars].Set(tx, val+j)
+						r := recs[(k+j)%fuzzHot]
+						r.set(tx, int64(val+j))
+						if n, err := r.get(tx); err != nil || n != int64(val+j) {
+							t.Fatalf("read-own-write of record %d: n=%d (err %v), want %d", (k+j)%fuzzHot, n, err, val+j)
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < count; j++ {
+					model[(k+j)%fuzzVars] = val + j
+					recModel[(k+j)%fuzzHot] = int64(val + j)
+				}
 			}
 		}
 		if pin != nil {
@@ -208,21 +272,14 @@ func FuzzMVStm(f *testing.F) {
 					t.Fatalf("final pinned read var %d = %d, want %d", j, got, pin.model[j])
 				}
 			}
+			for j := 0; j < fuzzHot; j++ {
+				if got := pin.read(-j - 1); got != int(pin.recModel[j]) {
+					t.Fatalf("final pinned read record %d = %d, want %d", j, got, pin.recModel[j])
+				}
+			}
 			pin.close()
 			pin = nil
 		}
-		// Final full readback in one snapshot transaction.
-		var got [fuzzVars]int
-		if err := mvstm.AtomicallyRO(func(tx *mvstm.Tx) error {
-			for j := range vars {
-				got[j] = vars[j].Get(tx)
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got != model {
-			t.Fatalf("final readback %v, model %v", got, model)
-		}
+		readback("final readback")
 	})
 }

@@ -14,7 +14,7 @@ import (
 // it; see internal/enginekit for the mechanisms.
 //
 // Sync points: mvstm fires the full set. syncpoint.GCSweep marks the
-// commit-side chain truncation consulting the epoch table (buildChain),
+// commit-side chain truncation consulting the epoch table (Tx.sweepFloor),
 // the point the pinned-snapshot-vs-GC pathology interleaves against. The
 // snapshot read's pre-pin-holder wait loop fires syncpoint.SpinWait each
 // iteration instead of yielding to the Go scheduler: under the harness

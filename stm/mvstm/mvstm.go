@@ -18,11 +18,14 @@
 // Each Var holds an immutable chain snapshot published through one atomic
 // pointer: the newest few versions live in an inline array head (no
 // pointer chase for the common newest-version read), older ones in an
-// overflow slice. Writers commit exactly as in the TL2 engine — lock the
-// write set in Var-id order, fetch a write version from the GV4
-// pass-on-failure global clock, validate the read set — and then *append*
-// a version instead of overwriting, publishing a new chain snapshot
-// before releasing each Var's versioned lock word.
+// overflow slice. A version holds its value inline, typed — one base
+// object per retained version, and no boxing on either path: Get returns
+// the value straight from the walk, and Set stores it in a pooled chain
+// build that commit completes and publishes. Writers commit exactly as in
+// the TL2 engine — lock the write set in Var-id order, fetch a write
+// version from the GV4 pass-on-failure global clock, validate the read
+// set — and then *append* a version instead of overwriting, publishing a
+// new chain snapshot before releasing each Var's versioned lock word.
 //
 // A snapshot read needs no certifying re-load: the transaction pins its
 // read timestamp rv once, and any version committed after the pin carries
@@ -102,155 +105,155 @@ var varIDs atomic.Uint64
 // common case — find their version without touching the overflow.
 const chainInline = 3
 
-// version is one committed value with its commit timestamp.
-type version struct {
-	val any
+// version is one committed value with its commit timestamp. The value is
+// stored inline — a retained version is one base object of
+// sizeof(T)+8 bytes, not a header pointing at a boxed value.
+type version[T any] struct {
+	val T
 	ver uint64
 }
 
 // chain is an immutable snapshot of a Var's version history: head holds
 // the newest n versions (newest-first), tail the older ones oldest-first.
-// Every array is written only at construction, and a chain owns its tail
-// exclusively (pushes copy survivors instead of sharing the base's tail
-// slice), so chains may be built optimistically outside the Var lock,
-// walked by readers without any synchronization — and, once replaced and
-// proven quiescent, recycled through chainPool without any other live
-// chain referencing their storage.
-type chain struct {
-	head [chainInline]version
+// A chain starts life as a pending build — Set takes it from the pool and
+// writes the new value into head[0] — and commit completes it with the
+// survivors of the published chain and stamps the write version in; once
+// published, no array is written again. A chain owns its tail exclusively
+// (builds copy survivors instead of sharing the base's tail slice), so
+// chains may be built optimistically outside the Var lock, walked by
+// readers without any synchronization — and, once replaced and proven
+// quiescent, recycled through the pool without any other live chain
+// referencing their storage.
+type chain[T any] struct {
+	head [chainInline]version[T]
 	n    int
-	tail []version
+	tail []version[T]
 }
 
-// chainPool recycles chain nodes and their overflow slices through
-// size-classed free lists, keyed by tail capacity — the allocation-free
-// half of the E11 steady state. A chain may be Put only when provably
-// unreachable: immediately for a never-published build, and after the
-// epoch quiescence check in drainRetired for a published one. The reset
-// hook empties the chain (versions zeroed, tail length 0), which both
+// chainRef is a Var[T]'s *chain[T] as the type-erased descriptor carries
+// it: Tx, writeEntry and retiredChain hold the chains of heterogeneous
+// Vars without knowing T and hand them back to the owning Var's methods,
+// which alone look inside. Pointer-shaped, so the conversion is free.
+type chainRef any
+
+// newChainPool builds the pool of chain[T]: chain nodes and their overflow
+// slices recycled through size-classed free lists, keyed by tail capacity
+// — the allocation-free half of the steady state. There is one pool per
+// instantiated T (mempool.Shared), resolved once in NewVar and reached
+// through the Var. A chain may be Put only when provably unreachable:
+// immediately for a never-published build, and after the epoch quiescence
+// check in drainRetired for a published one.
+func newChainPool[T any]() *mempool.ClassPool[chain[T]] {
+	return mempool.NewClassPool(
+		func(capacity int) *chain[T] { return &chain[T]{tail: make([]version[T], 0, capacity)} },
+		func(c *chain[T]) int { return cap(c.tail) },
+		(*chain[T]).reset,
+	)
+}
+
+// reset empties the chain (versions zeroed, tail length 0), which both
 // drops the user values pooled memory would otherwise pin and makes a
 // use-after-Put read fail loudly — at() on an emptied chain finds no
-// version and panics — instead of returning stale data.
-var chainPool = mempool.NewClassPool(
-	func(capacity int) *chain { return &chain{tail: make([]version, 0, capacity)} },
-	func(c *chain) int { return cap(c.tail) },
-	func(c *chain) {
-		c.head = [chainInline]version{}
-		c.n = 0
-		clear(c.tail[:cap(c.tail)])
-		c.tail = c.tail[:0]
-	},
-)
+// version and Get panics — instead of returning stale data.
+func (c *chain[T]) reset() {
+	clear(c.head[:])
+	c.n = 0
+	clear(c.tail[:cap(c.tail)])
+	c.tail = c.tail[:0]
+}
 
 // len returns the number of versions in the chain.
-func (c *chain) len() int { return c.n + len(c.tail) }
+func (c *chain[T]) len() int { return c.n + len(c.tail) }
 
 // at returns the newest version with ver ≤ rv and the number of versions
-// examined, or ok=false if the chain holds no such version (possible only
-// if truncation removed a registered reader's floor — an engine bug).
-func (c *chain) at(rv uint64) (val any, walked int, ok bool) {
+// examined, or nil if the chain holds no such version (possible only if
+// truncation removed a registered reader's floor — an engine bug).
+func (c *chain[T]) at(rv uint64) (v *version[T], walked int) {
 	for i := 0; i < c.n; i++ {
 		walked++
 		if c.head[i].ver <= rv {
-			return c.head[i].val, walked, true
+			return &c.head[i], walked
 		}
 	}
 	for i := len(c.tail) - 1; i >= 0; i-- {
 		walked++
 		if c.tail[i].ver <= rv {
-			return c.tail[i].val, walked, true
+			return &c.tail[i], walked
 		}
 	}
-	return nil, walked, false
+	return nil, walked
 }
 
 // index returns the i-th version in newest-first logical order.
-func (c *chain) index(i int) version {
+func (c *chain[T]) index(i int) *version[T] {
 	if i < c.n {
-		return c.head[i]
+		return &c.head[i]
 	}
-	return c.tail[len(c.tail)-1-(i-c.n)]
+	return &c.tail[len(c.tail)-1-(i-c.n)]
 }
 
-// newChainFrom builds a pooled chain holding (val, ver) on top of the
-// newest keep survivors of c, every survivor copied into storage the new
-// chain owns exclusively. The copy is O(keep), but keep is capped by the
-// GC sweep at gcSlackFactor×retention (plus whatever a pinned old reader
-// holds, which grows the chain anyway), so it is a bounded cost that
-// buys recyclability — the chain being replaced can be pooled without
-// any live chain sharing its arrays.
-func newChainFrom(c *chain, val any, ver uint64, keep int) *chain {
-	total := keep + 1
-	n := min(total, chainInline)
-	nc := chainPool.Get(total - n)
-	nc.n = n
-	nc.head[0] = version{val: val, ver: ver}
-	for i := 1; i < n; i++ {
-		nc.head[i] = c.index(i - 1)
-	}
-	if tl := total - n; tl > 0 {
-		nc.tail = nc.tail[:tl]
-		for i := range nc.tail {
-			// The tail is oldest-first: tail position i is logical index
-			// total-1-i of the new chain, i.e. survivor total-2-i of c.
-			nc.tail[i] = c.index(total - 2 - i)
-		}
-	}
-	return nc
-}
-
-// push returns a new chain with (val, ver) prepended and every existing
-// version carried over.
-func (c *chain) push(val any, ver uint64) *chain {
-	return newChainFrom(c, val, ver, c.len())
-}
-
-// pushTruncate builds the pushed chain with truncation applied in the
-// same build: the new version plus the newest survivors of c, where the
-// kept prefix preserves both the minRV floor (the newest version
-// ≤ minRV — some registered reader's snapshot may need it) and at least
-// retain recent versions.
-func (c *chain) pushTruncate(val any, ver uint64, minRV uint64, retain int) (*chain, int) {
+// survivors returns how many of c's newest versions a truncating build
+// carries over: the kept prefix preserves both the minRV floor (the
+// newest version ≤ minRV — some registered reader's snapshot may need it)
+// and, counting the version being pushed on top (its timestamp exceeds
+// minRV — it exceeds the committer's own registered rv), at least retain
+// recent versions.
+func (c *chain[T]) survivors(minRV uint64, retain int) int {
 	l := c.len()
-	floor := -1
 	for i := 0; i < l; i++ {
 		if c.index(i).ver <= minRV {
-			floor = i
-			break
+			return min(l, max(i+1, retain-1))
 		}
 	}
-	if floor < 0 {
-		// No version ≤ minRV: unreachable while every Var is born at
-		// version 0 and minRV is monotone, but never truncate on it.
-		return c.push(val, ver), 0
+	// No version ≤ minRV: unreachable while every Var is born at version 0
+	// and minRV is monotone, but never truncate on it.
+	return l
+}
+
+// fill completes the pending build nc, whose head[0] already holds the new
+// value, with the newest keep versions of c, every survivor copied into
+// storage nc owns exclusively. The copy is O(keep), but keep is capped by
+// the GC sweep at gcSlackFactor×retention (plus whatever a pinned old
+// reader holds, which grows the chain anyway), so it is a bounded cost
+// that buys recyclability — the chain being replaced can be pooled
+// without any live chain sharing its arrays.
+func (nc *chain[T]) fill(c *chain[T], keep int) {
+	total := keep + 1
+	nc.n = min(total, chainInline)
+	for i := 1; i < nc.n; i++ {
+		nc.head[i] = *c.index(i - 1)
 	}
-	// keep counts survivors of c; the new version rides on top (its ver
-	// exceeds minRV — it exceeds the committer's own registered rv).
-	keep := max(floor+1, retain-1)
-	if keep >= l {
-		return c.push(val, ver), 0
+	nc.tail = nc.tail[:total-nc.n]
+	for i := range nc.tail {
+		// The tail is oldest-first: tail position i is logical index
+		// total-1-i of the new chain, i.e. survivor total-2-i of c.
+		nc.tail[i] = *c.index(total - 2 - i)
 	}
-	return newChainFrom(c, val, ver, keep), l - keep
 }
 
 // varBase is the type-erased interface Tx uses to manage heterogeneous
-// Vars in one transaction.
+// Vars in one transaction: identity, the versioned lock word, and the few
+// chain operations commit performs blind, on chainRefs only the Var can
+// open.
 type varBase interface {
 	id() uint64
 	lockWord() uint64
 	tryLock() (prev uint64, ok bool)
 	unlock(ver uint64)
-	loadChain() *chain
-	storeChain(*chain)
+	build(tx *Tx, e *writeEntry, st *statShard)
+	moved(base chainRef) bool
+	publish(nc chainRef, wv uint64)
+	recycle(c chainRef) (versions int)
 }
 
 // Var is a transactional variable holding a value of type T and a chain
 // of its committed versions. The zero Var is not ready for use; create
 // Vars with NewVar.
 type Var[T any] struct {
-	vid uint64
-	lw  atomic.Uint64 // versioned lock word (bit 63 lock, bits 0..62 newest version)
-	ch  atomic.Pointer[chain]
+	vid  uint64
+	lw   atomic.Uint64 // versioned lock word (bit 63 lock, bits 0..62 newest version)
+	ch   atomic.Pointer[chain[T]]
+	pool *mempool.ClassPool[chain[T]]
 }
 
 // NewVar creates a transactional variable with the given initial value.
@@ -258,10 +261,10 @@ type Var[T any] struct {
 // snapshot (a Var shared with a transaction that pinned its timestamp
 // before the Var existed reads the initial value).
 func NewVar[T any](initial T) *Var[T] {
-	v := &Var[T]{vid: varIDs.Add(1)}
-	c := chainPool.Get(0)
+	v := &Var[T]{vid: varIDs.Add(1), pool: mempool.Shared(newChainPool[T])}
+	c := v.pool.Get(0)
 	c.n = 1
-	c.head[0] = version{val: initial, ver: 0}
+	c.head[0].val = initial
 	v.ch.Store(c)
 	return v
 }
@@ -294,28 +297,141 @@ func (v *Var[T]) tryLock() (uint64, bool) {
 // commit, the new write version after a successful one) in the same store.
 func (v *Var[T]) unlock(ver uint64) { v.lw.Store(lockword.Unlocked(ver)) }
 
-func (v *Var[T]) loadChain() *chain {
+func (v *Var[T]) loadChain() *chain[T] {
 	c := v.ch.Load()
 	if c == nil {
 		panic("mvstm: Var used before NewVar (the zero Var is not initialized)")
 	}
 	return c
 }
-func (v *Var[T]) storeChain(c *chain) { v.ch.Store(c) }
+
+// build completes e's pending chain — the one Set put the new value in —
+// from the currently published chain, truncating in the same build once
+// the chain has grown to the sweep threshold. The head version's timestamp
+// is a placeholder until commit stamps the write version in under the
+// Var's lock. Commit calls it again, under the lock, when a foreign commit
+// replaced the chain in between: fill then overwrites the first attempt's
+// survivors (n and the tail length bound what readers see, so a shorter
+// refill needs no clearing). Sweep hysteresis: chains are left to grow to
+// gcSlackFactor×retention and then cut back down in the same copy as the
+// push, so the survivor copy and the minActiveRV scan amortize over
+// ~retention commits instead of taxing every one.
+func (v *Var[T]) build(tx *Tx, e *writeEntry, st *statShard) {
+	c, nc := v.loadChain(), e.nc.(*chain[T])
+	l := c.len()
+	keep := l
+	if retain := int(retention.Load()); l >= gcSlackFactor*retain {
+		if minRV, ok := tx.sweepFloor(st); ok {
+			keep = c.survivors(minRV, retain)
+		}
+	}
+	if need := keep + 1 - chainInline; need > cap(nc.tail) {
+		// The chain outgrew the capacity class Set sized the build for:
+		// move the value into a larger pooled chain.
+		big := v.pool.Get(need)
+		big.head[0].val = nc.head[0].val
+		v.pool.Put(nc)
+		nc = big
+	}
+	nc.fill(c, keep)
+	e.base, e.nc, e.n, e.reclaimed = c, nc, int32(keep+1), int32(l-keep)
+}
+
+// moved reports whether a commit has replaced the chain build observed.
+func (v *Var[T]) moved(base chainRef) bool { return v.ch.Load() != base.(*chain[T]) }
+
+// publish stamps the write version into the completed build and makes it
+// the Var's chain; the caller holds the Var's lock and releases it after.
+func (v *Var[T]) publish(nc chainRef, wv uint64) {
+	c := nc.(*chain[T])
+	c.head[0].ver = wv
+	v.ch.Store(c)
+}
+
+// recycle returns a chain no goroutine can reach any more to the pool,
+// reporting how many versions it held.
+func (v *Var[T]) recycle(c chainRef) int {
+	ch := c.(*chain[T])
+	n := ch.len()
+	v.pool.Put(ch)
+	return n
+}
 
 // Get reads the variable inside a transaction: the snapshot value at the
 // transaction's read timestamp. Inside Atomically the read is also logged
 // for commit-time validation; inside AtomicallyRO it is not logged at all
 // and can never abort.
 func (v *Var[T]) Get(tx *Tx) T {
-	return tx.read(v).(T)
+	if !tx.ro {
+		if i, ok := tx.findWrite(v); ok {
+			// Read-own-write: the value sits in the entry's pending build.
+			val := tx.writes[i].nc.(*chain[T]).head[0].val
+			if tx.k.Tracing() {
+				tx.k.TraceRead(v, val)
+			}
+			return val
+		}
+	}
+	// A held lock is waited out only when it was acquired before this
+	// transaction pinned (embedded clock < rv, see tryLock) — that holder
+	// may publish a version ≤ rv the snapshot needs. A lock acquired at
+	// clock ≥ rv will publish a version > rv, invisible to this snapshot,
+	// so the reader proceeds immediately: a writer preempted mid-commit
+	// can only stall scans that pinned before it locked, which keeps long
+	// scans effectively wait-free against the writer pool in steady state.
+	w := v.lw.Load()
+	if lockword.Locked(w) && lockword.Version(w) < tx.rv {
+		w = tx.awaitPublished(v)
+	}
+	// Once the lock word is classified, one chain-pointer load suffices —
+	// all versions ≤ rv were published before the observed lock state
+	// (per-Var commits serialize on the lock), any version committed
+	// afterwards exceeds rv, and truncation never removes the registered
+	// floor — so there is no certifying re-load and no abort path.
+	ver, walked := v.loadChain().at(tx.rv)
+	if ver == nil {
+		panic("mvstm: snapshot too old (version chain truncated past a pinned read timestamp — this is an engine bug)")
+	}
+	tx.chargeWalk(walked)
+	if tx.k.Tracing() {
+		tx.k.TraceRead(v, ver.val)
+	}
+	// The snapshot lookup is this engine's read-certification analogue:
+	// the value is fixed once the chain walk returns, so the harness
+	// point sits after it (a writer granted here commits versions the
+	// pinned snapshot must — and does — ignore).
+	tx.k.SyncAt(syncpoint.PostReadCertify)
+	if !tx.ro {
+		tx.logRead(v, lockword.Version(w))
+	}
+	return ver.val
 }
 
 // Set buffers a write to the variable inside a transaction; it becomes
 // visible atomically at commit as a new version. Set panics inside
 // AtomicallyRO.
+//
+// The value goes straight into the head of a pending chain build taken
+// from the pool — the chain commit completes with the survivors and
+// publishes — so a write allocates nothing in steady state. The build is
+// sized for the chain as published now (the transaction is pinned, so
+// that chain cannot be recycled under the peek); build re-sizes it in the
+// rare case the chain grew into the next capacity class before commit.
 func (v *Var[T]) Set(tx *Tx, val T) {
-	tx.write(v, val)
+	tx.beginWrite()
+	if tx.k.Tracing() {
+		tx.k.TraceWrite(v, val)
+	}
+	e := tx.write(v)
+	nc, _ := e.nc.(*chain[T])
+	if nc == nil || e.shared {
+		// A shared build is also referenced by an OrElse save point's
+		// snapshot (see saveWrites), which must keep the pre-branch value:
+		// overwrite a fresh one instead.
+		nc = v.pool.Get(v.loadChain().len() + 1 - chainInline)
+		e.nc, e.shared = nc, false
+	}
+	nc.head[0].val = val
 }
 
 // loadSlotBox wraps an epoch slot handed to non-transactional readers
@@ -360,7 +476,7 @@ func (v *Var[T]) Load() T {
 	// Deferred so a panic (e.g. Load on a zero Var) cannot leak the
 	// registration and pin the GC floor forever.
 	defer unpinPeek(b)
-	return v.loadChain().head[0].val.(T)
+	return v.loadChain().head[0].val
 }
 
 // writeSetMapThreshold is the write-set size beyond which Tx switches from
@@ -422,7 +538,8 @@ type Tx struct {
 // ≤ the clock after the swap = ts. Once every active registration
 // exceeds ts, no reader can reach the chain and it may be pooled.
 type retiredChain struct {
-	c  *chain
+	v  varBase // the owner, which alone can open c and knows its pool
+	c  chainRef
 	ts uint64
 }
 
@@ -444,16 +561,21 @@ type readEntry struct {
 
 type writeEntry struct {
 	v    varBase
-	val  any
 	prev uint64 // pre-lock version, recorded while the commit holds the lock
-	// base and nc are the optimistic chain build: the chain observed
-	// before locking and the new chain derived from it (write version
-	// stamped in under the lock). Building — and allocating — outside the
-	// lock window keeps the window to a handful of atomics, so a writer
-	// preempted mid-commit almost never strands a pre-pin reader.
-	base      *chain
-	nc        *chain
-	reclaimed int
+	// nc is the write's pending chain build: Set takes it from the pool and
+	// puts the value in its head, and commit completes it from base — the
+	// chain observed before locking — and stamps the write version in
+	// under the lock. Building outside the lock window keeps the window to
+	// a handful of atomics, so a writer preempted mid-commit almost never
+	// strands a pre-pin reader. nc is nil again once published.
+	base chainRef
+	nc   chainRef
+	// n is the completed build's length, reclaimed the number of versions
+	// its truncation dropped.
+	n, reclaimed int32
+	// shared marks nc as also referenced by an OrElse save point, so Set
+	// must replace the build instead of overwriting its value.
+	shared bool
 }
 
 var txPool = sync.Pool{New: func() any {
@@ -467,7 +589,9 @@ var txPool = sync.Pool{New: func() any {
 
 // reset clears the read and write sets in place, keeping their backing
 // arrays, and zeroes the dropped entries so a pooled Tx pins no user data.
+// Chain builds the attempt took and did not publish go back to the pool.
 func (tx *Tx) reset() {
+	tx.recycleBuilds()
 	clear(tx.reads)
 	tx.reads = tx.reads[:0]
 	clear(tx.writes)
@@ -544,8 +668,8 @@ func (tx *Tx) drainRetired() {
 		if i > 0 {
 			st := tx.stat()
 			for j := 0; j < i; j++ {
-				st.pooled.Add(uint64(tx.retired[j].c.len()))
-				chainPool.Put(tx.retired[j].c)
+				r := &tx.retired[j]
+				st.pooled.Add(uint64(r.v.recycle(r.c)))
 			}
 			n := copy(tx.retired, tx.retired[i:])
 			clear(tx.retired[n:])
@@ -576,7 +700,8 @@ func (tx *Tx) searchWrite(v varBase) (int, bool) {
 	return lo, lo < len(tx.writes) && tx.writes[lo].v == v
 }
 
-// findWrite locates v in the write set (read-own-write lookup).
+// findWrite locates v in the write set. On a miss below the map
+// promotion, the index is v's insertion position in the sorted slice.
 func (tx *Tx) findWrite(v varBase) (int, bool) {
 	if len(tx.writes) == 0 {
 		return 0, false
@@ -588,57 +713,17 @@ func (tx *Tx) findWrite(v varBase) (int, bool) {
 	return tx.searchWrite(v)
 }
 
-func (tx *Tx) read(v varBase) any {
-	if !tx.ro {
-		if i, ok := tx.findWrite(v); ok {
-			if tx.k.Tracing() {
-				tx.k.TraceRead(v, tx.writes[i].val)
-			}
-			return tx.writes[i].val
-		}
-	}
-	val, newest := tx.readSnapshot(v)
-	if tx.ro {
-		return val
-	}
-	// Update transactions log the read for commit-time validation
-	// (first-committer-wins: the snapshot value must still be the newest
-	// at commit). Duplicate entries for recently re-read Vars are skipped;
-	// the snapshot is stable within the transaction, so a re-read returns
-	// the same version the recorded entry certifies.
-	for i, n := len(tx.reads)-1, len(tx.reads)-readDedupWindow; i >= 0 && i >= n; i-- {
-		if tx.reads[i].v == v {
-			return val
-		}
-	}
-	tx.reads = append(tx.reads, readEntry{v: v, ver: newest})
-	return val
-}
-
-// readSnapshot serves a read from v's version chain at the pinned read
-// timestamp. A held lock is waited out only when it was acquired before
-// this transaction pinned (embedded clock < rv, see tryLock) — that
-// holder may publish a version ≤ rv the snapshot needs. A lock acquired
-// at clock ≥ rv will publish a version > rv, invisible to this snapshot,
-// so the reader proceeds immediately: a writer preempted mid-commit can
-// only stall scans that pinned before it locked, which keeps long scans
-// effectively wait-free against the writer pool in steady state.
-// Once the word is classified, one chain-pointer load suffices — all
-// versions ≤ rv were published before the observed lock state (per-Var
-// commits serialize on the lock), any version committed afterwards
-// exceeds rv, and truncation never removes the registered floor — so
-// there is no certifying re-load and no abort path.
-func (tx *Tx) readSnapshot(v varBase) (any, uint64) {
-	var w uint64
+// awaitPublished waits out a lock on v taken before this transaction
+// pinned and returns the lock word that ended the wait (see Get).
+// Publication is imminent unless the holder was preempted, so yield and
+// then back off to real sleeps. Under the scheduling harness the holder is
+// a parked worker — hand control to the schedule instead of spinning.
+func (tx *Tx) awaitPublished(v varBase) uint64 {
 	for spins := 0; ; spins++ {
-		w = v.lockWord()
+		w := v.lockWord()
 		if !lockword.Locked(w) || lockword.Version(w) >= tx.rv {
-			break
+			return w
 		}
-		// A pre-pin lock holder: publication is imminent unless the holder
-		// was preempted, so yield and then back off to real sleeps. Under
-		// the scheduling harness the holder is a parked worker — hand
-		// control to the schedule instead of spinning.
 		if tx.k.SyncSpin() {
 			continue
 		}
@@ -649,10 +734,10 @@ func (tx *Tx) readSnapshot(v varBase) (any, uint64) {
 			time.Sleep(d)
 		}
 	}
-	val, walked, ok := v.loadChain().at(tx.rv)
-	if !ok {
-		panic("mvstm: snapshot too old (version chain truncated past a pinned read timestamp — this is an engine bug)")
-	}
+}
+
+// chargeWalk accounts one snapshot read that examined walked versions.
+func (tx *Tx) chargeWalk(walked int) {
 	tx.pendingReads++
 	tx.pendingWalk += uint64(walked)
 	// The chain walk is the time half of the space-for-time trade: one
@@ -662,61 +747,61 @@ func (tx *Tx) readSnapshot(v varBase) (any, uint64) {
 	if tx.k.Metered() {
 		tx.k.Charge(tx.k.Costs.Read + tx.k.Costs.Step*uint64(walked))
 	}
-	if tx.k.Tracing() {
-		tx.k.TraceRead(v, val)
-	}
-	// The snapshot lookup is this engine's read-certification analogue:
-	// the value is fixed once the chain walk returns, so the harness
-	// point sits after it (a writer granted here commits versions the
-	// pinned snapshot must — and does — ignore).
-	tx.k.SyncAt(syncpoint.PostReadCertify)
-	return val, lockword.Version(w)
 }
 
-func (tx *Tx) write(v varBase, val any) {
+// logRead records an update transaction's read of v, whose newest
+// committed version was newest when the lock word was classified, for
+// commit-time validation (first-committer-wins: the snapshot value must
+// still be the newest at commit). Duplicate entries for recently re-read
+// Vars are skipped; the snapshot is stable within the transaction, so a
+// re-read returns the same version the recorded entry certifies.
+func (tx *Tx) logRead(v varBase, newest uint64) {
+	for i, n := len(tx.reads)-1, len(tx.reads)-readDedupWindow; i >= 0 && i >= n; i-- {
+		if tx.reads[i].v == v {
+			return
+		}
+	}
+	tx.reads = append(tx.reads, readEntry{v: v, ver: newest})
+}
+
+// beginWrite is the part of Set that precedes its trace record.
+func (tx *Tx) beginWrite() {
 	if tx.ro {
 		panic("mvstm: Set inside a read-only transaction (AtomicallyRO cannot write)")
 	}
 	if tx.k.Metered() {
 		tx.k.Charge(tx.k.Costs.Step)
 	}
-	if tx.k.Tracing() {
-		tx.k.TraceWrite(v, val)
-	}
-	if tx.wmap != nil {
-		if i, ok := tx.wmap[v]; ok {
-			tx.writes[i].val = val
-			return
-		}
-		if tx.k.Metered() {
-			tx.k.Charge(tx.k.Costs.Write)
-		}
-		tx.wmap[v] = len(tx.writes)
-		tx.writes = append(tx.writes, writeEntry{v: v, val: val})
-		return
-	}
-	i, found := tx.searchWrite(v)
+}
+
+// write returns v's write-set entry, adding an empty one on the first
+// write of v. The pointer is valid until the write set next changes.
+func (tx *Tx) write(v varBase) *writeEntry {
+	i, found := tx.findWrite(v)
 	if found {
-		tx.writes[i].val = val
-		return
+		return &tx.writes[i]
 	}
 	if tx.k.Metered() {
 		tx.k.Charge(tx.k.Costs.Write)
 	}
-	if len(tx.writes) >= writeSetMapThreshold {
+	if tx.wmap == nil && len(tx.writes) >= writeSetMapThreshold {
 		tx.wmap = make(map[varBase]int, 2*writeSetMapThreshold)
 		for j := range tx.writes {
 			tx.wmap[tx.writes[j].v] = j
 		}
-		tx.wmap[v] = len(tx.writes)
-		tx.writes = append(tx.writes, writeEntry{v: v, val: val})
-		return
+	}
+	if tx.wmap != nil {
+		i = len(tx.writes)
+		tx.wmap[v] = i
+		tx.writes = append(tx.writes, writeEntry{v: v})
+		return &tx.writes[i]
 	}
 	// Sorted insert keeps the slice in Var-id order, so commit locks in the
 	// deadlock-free total order with no per-commit sort at all.
 	tx.writes = append(tx.writes, writeEntry{})
 	copy(tx.writes[i+1:], tx.writes[i:])
-	tx.writes[i] = writeEntry{v: v, val: val}
+	tx.writes[i] = writeEntry{v: v}
+	return &tx.writes[i]
 }
 
 // OrElse composes two transactional alternatives: it runs f, and if f
@@ -736,10 +821,23 @@ func (tx *Tx) OrElse(f, g func(*Tx) error) error {
 
 // saveWrites captures the write set (values included) and returns the
 // function that reinstates it, so OrElse can roll a blocked branch back,
-// including overwrites of pre-branch writes.
+// including overwrites of pre-branch writes. The values live in the
+// entries' pending builds, which the snapshot shares by pointer: every
+// build alive now is marked shared, so a Set in the branch replaces it
+// rather than overwriting the value the snapshot must keep.
 func (tx *Tx) saveWrites() (restore func()) {
+	for i := range tx.writes {
+		tx.writes[i].shared = true
+	}
 	snap, msnap := slices.Clone(tx.writes), maps.Clone(tx.wmap)
 	return func() {
+		// A build not marked shared was taken after this save point and
+		// captured by no later one: it dies with the branch.
+		for i := range tx.writes {
+			if e := &tx.writes[i]; e.nc != nil && !e.shared {
+				e.v.recycle(e.nc)
+			}
+		}
 		clear(tx.writes)
 		tx.writes = append(tx.writes[:0], snap...)
 		tx.wmap = msnap
@@ -796,15 +894,14 @@ func (tx *Tx) validateCommit() (varBase, bool) {
 }
 
 // recycleBuilds returns the attempt's never-published chain builds to
-// the pool. Safe immediately — the chains were private to this
-// descriptor (commit failed before, or instead of, publishing them).
-// nc pointers are nilled so a later attempt's buildChains starts clean
-// and no entry can be recycled twice.
+// the pool. Safe immediately — the chains are private to this descriptor
+// (the attempt ended before, or instead of, publishing them). nc pointers
+// are nilled so no entry can be recycled twice.
 func (tx *Tx) recycleBuilds() {
 	for i := range tx.writes {
-		if nc := tx.writes[i].nc; nc != nil {
-			chainPool.Put(nc)
-			tx.writes[i].nc = nil
+		if e := &tx.writes[i]; e.nc != nil {
+			e.v.recycle(e.nc)
+			e.nc = nil
 		}
 	}
 }
@@ -831,15 +928,19 @@ func (tx *Tx) commit() bool {
 		tx.wmap = nil
 	}
 	st := tx.stat()
-	// Build every new chain optimistically before taking any lock: the
-	// allocations, the sweep's survivor copy and the minActiveRV scan all
-	// happen outside the lock window, which shrinks to lock → clock →
-	// validate → stamp-and-publish. The write version is not known yet, so
-	// the new head is stamped with it under the lock (the chain is private
-	// until published); a chain that moved since the optimistic load is
-	// rebuilt under the lock, which only happens under real per-Var write
-	// contention.
-	tx.buildChains(st)
+	// Complete every new chain optimistically before taking any lock: the
+	// sweep's survivor copy and the minActiveRV scan happen outside the
+	// lock window, which shrinks to lock → clock → validate →
+	// stamp-and-publish. The write version is not known yet, so the new
+	// head is stamped with it under the lock (the chain is private until
+	// published); a chain that moved since the optimistic load is rebuilt
+	// under the lock, which only happens under real per-Var write
+	// contention. A commit that fails from here on leaves its builds to
+	// the next reset, which recycles them.
+	tx.minState = 0
+	for i := range tx.writes {
+		tx.writes[i].v.build(tx, &tx.writes[i], st)
+	}
 	// Price the commit before any lock is taken: the validation scan (one
 	// step per read entry) and — the space half of the trade — every
 	// version retained in the chains about to be published. A transaction
@@ -853,10 +954,9 @@ func (tx *Tx) commit() bool {
 	if tx.k.Metered() {
 		retained := uint64(0)
 		for i := range tx.writes {
-			retained += uint64(tx.writes[i].nc.len())
+			retained += uint64(tx.writes[i].n)
 		}
 		if !tx.k.ChargeSoft(tx.k.Costs.Version*retained + tx.k.Costs.Step*uint64(len(tx.reads))) {
-			tx.recycleBuilds()
 			return false
 		}
 	}
@@ -877,7 +977,6 @@ func (tx *Tx) commit() bool {
 	}
 	if locked != len(tx.writes) {
 		releaseLocked(locked)
-		tx.recycleBuilds()
 		tx.k.NoteAbort(enginekit.LockBusy, tx.writes[locked].v.id())
 		return false
 	}
@@ -890,31 +989,25 @@ func (tx *Tx) commit() bool {
 	wv := tx.advanceClock()
 	if bad, ok := tx.validateCommit(); !ok {
 		releaseLocked(locked)
-		tx.recycleBuilds()
 		tx.k.NoteAbort(enginekit.CommitValidation, bad.id())
 		return false
 	}
 	tx.k.SyncAt(syncpoint.PrePublish)
-	hwm := 0
+	hwm := int32(0)
 	for i := range tx.writes {
 		e := &tx.writes[i]
-		if e.v.loadChain() != e.base {
+		if e.v.moved(e.base) {
 			// A foreign commit landed between the optimistic build and our
-			// lock; rebuild from the current chain (rare), recycling the
-			// never-published first build.
-			old := e.nc
-			tx.buildChain(e, st)
-			chainPool.Put(old)
+			// lock; rebuild from the current chain (rare).
+			e.v.build(tx, e, st)
 		}
-		e.nc.head[0].ver = wv // stamp before the publishing store below
 		if e.reclaimed > 0 {
 			st.gcSweeps.Add(1)
 			st.reclaimed.Add(uint64(e.reclaimed))
 		}
-		if n := e.nc.len(); n > hwm {
-			hwm = n
-		}
-		e.v.storeChain(e.nc) // publish before the unlock's release store
+		hwm = max(hwm, e.n)
+		e.v.publish(e.nc, wv) // stamp and publish before the unlock's release store
+		e.nc = nil
 		e.v.unlock(wv)
 	}
 	// Retire the replaced chains: the timestamp is a clock sample taken
@@ -924,7 +1017,7 @@ func (tx *Tx) commit() bool {
 	// registration has moved strictly past it.
 	rt := clock.Load()
 	for i := range tx.writes {
-		tx.retired = append(tx.retired, retiredChain{c: tx.writes[i].base, ts: rt})
+		tx.retired = append(tx.retired, retiredChain{v: tx.writes[i].v, c: tx.writes[i].base, ts: rt})
 	}
 	if ClockStrategyInEffect() == GV7 {
 		// Publish the write version now that the locks are released:
@@ -940,47 +1033,27 @@ func (tx *Tx) commit() bool {
 	return true
 }
 
-// buildChains prepares each write's new chain from the currently
-// published one (see commit). Sweep hysteresis: chains are left to grow
-// to gcSlackFactor×retention and then truncated back down in the same
-// allocation as the push, so the sweep's survivor copy and the
-// minActiveRV scan amortize over ~retention commits instead of taxing
-// every one.
-func (tx *Tx) buildChains(st *statShard) {
-	tx.minState = 0
-	for i := range tx.writes {
-		tx.buildChain(&tx.writes[i], st)
-	}
-}
-
-// buildChain prepares one write entry's chain. The new head version is a
-// placeholder until commit stamps the write version in under the Var's
-// lock. minRV computed here and used after the locks are taken is still
-// sound: the registered minimum is monotone, so an early sample is merely
-// more conservative.
-func (tx *Tx) buildChain(e *writeEntry, st *statShard) {
-	c := e.v.loadChain()
-	e.base, e.reclaimed = c, 0
-	if c.len() >= gcSlackFactor*int(retention.Load()) {
-		if tx.minState == 0 {
-			// The sweep is about to sample the epoch table: a reader
-			// granted here and pinning now must either be seen by the
-			// scan or make the sweep skip (the joining-sentinel race the
-			// GC-truncation pathology test interleaves against).
-			tx.k.SyncAt(syncpoint.GCSweep)
-			if m, ok := minActiveRV(tx.rv); ok {
-				tx.minRV, tx.minState = m, 1
-			} else {
-				tx.minState = 2
-				st.gcSkips.Add(1)
-			}
-		}
-		if tx.minState == 1 {
-			e.nc, e.reclaimed = c.pushTruncate(e.val, 0, tx.minRV, int(retention.Load()))
-			return
+// sweepFloor returns the GC floor for this commit's chain builds — the
+// minimum registered read timestamp, sampled from the epoch table the
+// first time a build needs it — or ok=false when a joiner was observed
+// and the commit must not truncate. A floor sampled before the locks are
+// taken and used after is still sound: the registered minimum is
+// monotone, so an early sample is merely more conservative.
+func (tx *Tx) sweepFloor(st *statShard) (minRV uint64, ok bool) {
+	if tx.minState == 0 {
+		// The sweep is about to sample the epoch table: a reader granted
+		// here and pinning now must either be seen by the scan or make
+		// the sweep skip (the joining-sentinel race the GC-truncation
+		// pathology test interleaves against).
+		tx.k.SyncAt(syncpoint.GCSweep)
+		if m, ok := minActiveRV(tx.rv); ok {
+			tx.minRV, tx.minState = m, 1
+		} else {
+			tx.minState = 2
+			st.gcSkips.Add(1)
 		}
 	}
-	e.nc = c.push(e.val, 0)
+	return tx.minRV, tx.minState == 1
 }
 
 // Atomically runs fn inside an update transaction, retrying until it

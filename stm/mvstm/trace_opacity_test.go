@@ -245,7 +245,7 @@ func TestTraceOpacityBudgetAbort(t *testing.T) {
 }
 
 // TestTraceHistoryJSONRoundTrip: the recorded mvstm history marshals to
-// the JSON encoding cmd/opacheck consumes and survives the round trip.
+// the JSON encoding `tmbench -exp check` consumes and survives the round trip.
 func TestTraceHistoryJSONRoundTrip(t *testing.T) {
 	x := mvstm.NewVar(0)
 	mvstm.StartTrace()

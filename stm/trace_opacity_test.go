@@ -6,7 +6,7 @@ package stm_test
 // produces — and the internal/check oracles verify opacity and strict
 // serializability on it. The serialization oracles do exhaustive search,
 // so workloads here are deliberately bounded (a handful of transactions;
-// aborted attempts count too). cmd/opacheck accepts the same histories as
+// aborted attempts count too). `tmbench -exp check` accepts the same histories as
 // JSON.
 
 import (
@@ -516,7 +516,7 @@ func TestTraceOrElseUnsupported(t *testing.T) {
 }
 
 // TestTraceHistoryJSONRoundTrip: the recorded native history marshals to
-// the JSON encoding cmd/opacheck consumes and survives the round trip —
+// the JSON encoding `tmbench -exp check` consumes and survives the round trip —
 // the native trace and the simulator's recorder speak one format.
 func TestTraceHistoryJSONRoundTrip(t *testing.T) {
 	x := stm.NewVar(0)
