@@ -525,9 +525,13 @@ func BenchmarkE11Scenarios(b *testing.B) {
 // AtomicallyRO (zero-validation certified reads, abort/replay on churn),
 // and mvstm AtomicallyRO (pinned-snapshot chain reads: no certification,
 // no aborts, structurally). The read-aborts/op metric counts scan
-// attempts beyond the first — exactly 0 for mvstm — and the mvstm cells
-// also report the GC evidence: versions reclaimed per scan, and
-// chain-hwm-peak, the engine-lifetime chain-length high-water mark
+// attempts beyond the first — exactly 0 for mvstm — and writer-commits/op
+// the background writers' commits per scan (the engine's commit delta
+// minus the scans, each of which commits once): the scanners and the
+// writers share the Ps, so a cell's ns/op reads only beside how much
+// writer work it ran alongside. The mvstm cells also report the GC
+// evidence: versions reclaimed per scan, and chain-hwm-peak, the
+// engine-lifetime chain-length high-water mark
 // (mvstm.Stats.ChainHWM is a monotone process-wide maximum, so the value
 // is the peak up to and including the cell, not a per-cell reading; its
 // bound — a small multiple of the retention plus whatever growth pinned
@@ -563,6 +567,7 @@ func BenchmarkE11NativeScan(b *testing.B) {
 			}()
 		}
 		var attempts, scans atomic.Uint64
+		before := stm.ReadStats()
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -583,9 +588,11 @@ func BenchmarkE11NativeScan(b *testing.B) {
 			scans.Add(n)
 		})
 		b.StopTimer()
+		d := stm.ReadStats().Sub(before)
 		close(stop)
 		wg.Wait()
 		b.ReportMetric(float64(attempts.Load()-scans.Load())/float64(scans.Load()), "read-aborts/op")
+		b.ReportMetric(float64(d.Commits-scans.Load())/float64(scans.Load()), "writer-commits/op")
 	}
 	runMVStm := func(b *testing.B, scanLen, writers int) {
 		vars := make([]*mvstm.Var[int], nkeys)
@@ -637,10 +644,11 @@ func BenchmarkE11NativeScan(b *testing.B) {
 			scans.Add(n)
 		})
 		b.StopTimer()
+		d := mvstm.ReadStats().Sub(before)
 		close(stop)
 		wg.Wait()
-		d := mvstm.ReadStats().Sub(before)
 		b.ReportMetric(float64(attempts.Load()-scans.Load())/float64(scans.Load()), "read-aborts/op")
+		b.ReportMetric(float64(d.Commits-scans.Load())/float64(scans.Load()), "writer-commits/op")
 		b.ReportMetric(float64(d.VersionsReclaimed)/float64(scans.Load()), "reclaimed/op")
 		b.ReportMetric(float64(d.ChainHWM), "chain-hwm-peak")
 		b.ReportMetric(d.MeanChainWalk(), "chain-walk/read")

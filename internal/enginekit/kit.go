@@ -140,9 +140,6 @@ func (k *Kit) SetAdmission(a budget.Admitter) {
 // load the pointer, and those run only on aborts.
 func (k *Kit) SetContentionProfiler(s *telemetry.Sketch) { k.profiler.Store(s) }
 
-// ContentionProfiler returns the installed sketch, or nil.
-func (k *Kit) ContentionProfiler() *telemetry.Sketch { return k.profiler.Load() }
-
 // Label names the Var with the given id in hot-Var contention reports.
 func (k *Kit) Label(id uint64, name string) { telemetry.SetLabel(k.namespace|id, name) }
 

@@ -67,9 +67,6 @@ func (h *Hist) Count() uint64 { return h.count.Load() }
 // Errors returns the number of ObserveErr calls with isErr set.
 func (h *Hist) Errors() uint64 { return h.errs.Load() }
 
-// Sum returns the running sum of observed values.
-func (h *Hist) Sum() uint64 { return h.sum.Load() }
-
 // Quantile returns the upper bound of the bucket holding the q-th
 // observation (0 for an empty histogram). q is clamped to [0, 1); a
 // rank at or past the last observation resolves to the final

@@ -45,6 +45,3 @@ func (p *Proc) EndSpan() *Span {
 	p.span = nil
 	return sp
 }
-
-// CurrentSpan returns the active span, or nil.
-func (p *Proc) CurrentSpan() *Span { return p.span }

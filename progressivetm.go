@@ -102,9 +102,6 @@ func NewScheduler(mem *Memory) *Scheduler { return sched.New(mem) }
 // RandomPolicy returns a seeded random scheduling policy.
 func RandomPolicy(seed int64) sched.Policy { return sched.NewRandom(seed) }
 
-// RoundRobinPolicy returns a fair rotating scheduling policy.
-func RoundRobinPolicy() sched.Policy { return &sched.RoundRobin{} }
-
 // Locks lists the mutual-exclusion algorithms, including "lm:<tm>" for
 // Algorithm 1 over each strongly progressive TM.
 func Locks() []string { return exp.LockNames() }

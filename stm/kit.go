@@ -58,9 +58,6 @@ func SetAdmission(a budget.Admitter) { kit.SetAdmission(a) }
 // counts are sampled profiles, not exact ledgers.
 func SetContentionProfiler(s *telemetry.Sketch) { kit.SetContentionProfiler(s) }
 
-// ContentionProfiler returns the installed sketch, or nil.
-func ContentionProfiler() *telemetry.Sketch { return kit.ContentionProfiler() }
-
 // Label names this Var in hot-Var contention reports (see
 // SetContentionProfiler); containers label their internal Vars with the
 // user-visible key. Unlabeled Vars report as var-<id>.

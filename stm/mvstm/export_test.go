@@ -60,9 +60,26 @@ func SetGV7BlockSizeForTest(k uint64) func() {
 	return func() { gv7BlockSize = old }
 }
 
-// RetiredLenForTest drives one transaction and reports the descriptor's
-// retired-list length as observed inside it.
-func RetiredLenForTest(tx *Tx) int { return len(tx.retired) }
+// RetiredVersionsForTest reports the versions held by the descriptor's
+// retired list as observed inside a transaction on it; RetireBudget is
+// the bound drainRetired keeps it under between transactions.
+func RetiredVersionsForTest(tx *Tx) int { return tx.retiredVersions }
+
+const RetireBudget = retireBudget
+
+// RetiredStaleForTest counts the chains the descriptor's retired slice
+// still references outside its live window: entries drained, dropped or
+// compacted away must be zeroed, or a pooled descriptor pins chains it
+// no longer tracks.
+func RetiredStaleForTest(tx *Tx) int {
+	n := 0
+	for i, r := range tx.retired[:cap(tx.retired)] {
+		if (i < tx.retiredHead || i >= len(tx.retired)) && r.c != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // ReadSetLen reports how many read-set entries the descriptor has logged;
 // the snapshot path must keep it at zero.

@@ -243,7 +243,7 @@ type varBase interface {
 	build(tx *Tx, e *writeEntry, st *statShard)
 	moved(base chainRef) bool
 	publish(nc chainRef, wv uint64)
-	recycle(c chainRef) (versions int)
+	recycle(c chainRef)
 }
 
 // Var is a transactional variable holding a value of type T and a chain
@@ -348,14 +348,8 @@ func (v *Var[T]) publish(nc chainRef, wv uint64) {
 	v.ch.Store(c)
 }
 
-// recycle returns a chain no goroutine can reach any more to the pool,
-// reporting how many versions it held.
-func (v *Var[T]) recycle(c chainRef) int {
-	ch := c.(*chain[T])
-	n := ch.len()
-	v.pool.Put(ch)
-	return n
-}
+// recycle returns a chain no goroutine can reach any more to the pool.
+func (v *Var[T]) recycle(c chainRef) { v.pool.Put(c.(*chain[T])) }
 
 // Get reads the variable inside a transaction: the snapshot value at the
 // transaction's read timestamp. Inside Atomically the read is also logged
@@ -524,11 +518,16 @@ type Tx struct {
 	// Blocks persist across pool cycles while GV7 is active.
 	blockNext uint64
 	blockEnd  uint64
-	// retired holds chains this descriptor unlinked from their Vars,
-	// awaiting epoch quiescence before recycling (see drainRetired).
+	// retired[retiredHead:] holds chains this descriptor unlinked from
+	// their Vars, awaiting epoch quiescence before recycling (see
+	// drainRetired); the entries before retiredHead are drained and
+	// zeroed, and are compacted away once they fill half the slice.
 	// Timestamps are non-decreasing: appended in commit order under a
-	// monotone clock.
-	retired []retiredChain
+	// monotone clock. retiredVersions is the live entries' Σ n, the
+	// figure retireBudget bounds.
+	retired         []retiredChain
+	retiredHead     int
+	retiredVersions int
 }
 
 // retiredChain is a chain unlinked from its Var, awaiting quiescence
@@ -541,17 +540,33 @@ type retiredChain struct {
 	v  varBase // the owner, which alone can open c and knows its pool
 	c  chainRef
 	ts uint64
+	n  int // versions the chain holds
 }
 
-// retireDrainMin is the retired-list length below which finish does not
-// bother scanning the epoch table (the scan amortizes over ≥ this many
-// recycles). retireKeepMax caps the list: a reader pinned for a very
-// long time blocks quiescence, and past the cap the oldest entries are
-// dropped to the garbage collector instead — always safe, since the GC
-// itself waits for the last reference.
+// retireDrainMin is the live retired-list length below which finish does
+// not bother scanning the epoch table (the scan amortizes over ≥ this
+// many recycles).
+//
+// retireBudget bounds the versions (Σ chain length) a descriptor's
+// retired list may hold. A pinned reader blocks quiescence, and a reader
+// descheduled mid-pin blocks it for a scheduler quantum, so the list
+// must ride that out. The figure is versions, not chains, because the
+// cost of a stall is quadratic in chains: behind a frozen floor every
+// commit to a hot Var retires a copy one version longer than the last.
+// In lib_mv (the bench/ workload, 2 CPUs) the deepest stall measured
+// retired 8 k chains — about 10 ms of the running client's commits —
+// holding 0.64 M versions, since the hot pair's copies grew to ~600;
+// 2^20 covers that with margin. Past the budget the oldest entries are
+// dropped to the garbage collector (counted in Stats.VersionsDropped) —
+// always safe, since the GC itself waits for the last reference.
+// Worst-case bytes per descriptor: a chain of L versions is
+// sizeof(chain[T]) plus a tail of < 2L version[T] (capacity classes
+// round up), and chains ≤ versions, so ≤ 2^20 × (sizeof(chain[T]) +
+// 2·sizeof(version[T])) — 112 MiB for a Var[int64] (80 + 2·16 B) if
+// every chain held one version; the deepest lib_mv stall held ~21 MB.
 const (
 	retireDrainMin = 16
-	retireKeepMax  = 1024
+	retireBudget   = 1 << 20
 )
 
 type readEntry struct {
@@ -652,36 +667,51 @@ func (tx *Tx) finish() {
 // registration (ts < m means every pre-swap holder, rv ≤ ts, is gone;
 // a reader pinned at rv > ts observed the clock after the retire sample
 // and therefore loads the replacement chain). The list is time-ordered,
-// so the scan stops at the first survivor. If a joiner makes the floor
-// unknown, or a long-pinned reader keeps the list growing past
-// retireKeepMax, the overflow is dropped to the garbage collector —
-// correctness never depends on pooling.
+// so the scan stops at the first survivor. While a long-pinned reader
+// keeps the list growing past retireBudget versions, the oldest entries
+// are dropped to the garbage collector and counted — correctness never
+// depends on pooling. The cost is O(entries recycled or dropped): the
+// head index advances past them, and the survivors move to the front
+// only once the drained prefix fills half the slice, so a deep list
+// behind a pinned reader costs nothing per finish beyond the epoch scan.
 func (tx *Tx) drainRetired() {
-	if len(tx.retired) < retireDrainMin {
+	if len(tx.retired)-tx.retiredHead < retireDrainMin && tx.retiredVersions <= retireBudget {
 		return
 	}
+	var pooled, dropped int
 	if m, ok := minActiveRV(clock.Load()); ok {
-		i := 0
-		for i < len(tx.retired) && tx.retired[i].ts < m {
-			i++
-		}
-		if i > 0 {
-			st := tx.stat()
-			for j := 0; j < i; j++ {
-				r := &tx.retired[j]
-				st.pooled.Add(uint64(r.v.recycle(r.c)))
-			}
-			n := copy(tx.retired, tx.retired[i:])
-			clear(tx.retired[n:])
-			tx.retired = tx.retired[:n]
+		for tx.retiredHead < len(tx.retired) && tx.retired[tx.retiredHead].ts < m {
+			r := tx.popRetired()
+			r.v.recycle(r.c)
+			pooled += r.n
 		}
 	}
-	if len(tx.retired) > retireKeepMax {
-		drop := len(tx.retired) - retireKeepMax/2
-		n := copy(tx.retired, tx.retired[drop:])
+	for tx.retiredVersions > retireBudget {
+		dropped += tx.popRetired().n
+	}
+	if pooled+dropped == 0 {
+		return
+	}
+	st := tx.stat()
+	st.pooled.Add(uint64(pooled))
+	if dropped > 0 {
+		st.dropped.Add(uint64(dropped))
+	}
+	if h := tx.retiredHead; 2*h >= len(tx.retired) {
+		n := copy(tx.retired, tx.retired[h:])
 		clear(tx.retired[n:])
-		tx.retired = tx.retired[:n]
+		tx.retired, tx.retiredHead = tx.retired[:n], 0
 	}
+}
+
+// popRetired removes the oldest live retired entry, zeroing its slot so
+// the descriptor pins no chain it no longer tracks.
+func (tx *Tx) popRetired() retiredChain {
+	r := tx.retired[tx.retiredHead]
+	tx.retired[tx.retiredHead] = retiredChain{}
+	tx.retiredHead++
+	tx.retiredVersions -= r.n
+	return r
 }
 
 // searchWrite binary-searches the sorted write set for v, returning the
@@ -1017,7 +1047,10 @@ func (tx *Tx) commit() bool {
 	// registration has moved strictly past it.
 	rt := clock.Load()
 	for i := range tx.writes {
-		tx.retired = append(tx.retired, retiredChain{v: tx.writes[i].v, c: tx.writes[i].base, ts: rt})
+		e := &tx.writes[i]
+		n := int(e.n-1) + int(e.reclaimed) // the base chain: the build's survivors plus what it cut
+		tx.retired = append(tx.retired, retiredChain{v: e.v, c: e.base, ts: rt, n: n})
+		tx.retiredVersions += n
 	}
 	if ClockStrategyInEffect() == GV7 {
 		// Publish the write version now that the locks are released:

@@ -36,13 +36,18 @@ type Stats struct {
 	// version count (up to the initial versions).
 	VersionsAppended  uint64
 	VersionsReclaimed uint64
-	// VersionsPooled counts versions whose chain storage was recycled
-	// through the size-classed free lists after epoch quiescence (see
-	// drainRetired) — the steady-state allocation-free signal. It lags
-	// VersionsReclaimed: reclaimed versions sit on retire lists until the
-	// epoch floor passes them, and overflow past the retire cap is dropped
-	// to the runtime GC instead of pooled.
-	VersionsPooled uint64
+	// VersionsPooled counts the versions of replaced chains whose storage
+	// was recycled through the size-classed free lists after epoch
+	// quiescence (see drainRetired) — the steady-state allocation-free
+	// signal. VersionsDropped counts those a descriptor's retired list
+	// sent to the runtime GC instead, because a reader stayed pinned
+	// while the list outgrew its version budget. A replaced chain's
+	// versions are pooled, dropped, or still pending on a retired list
+	// (a list whose descriptor the runtime evicts from the pool goes to
+	// the GC uncounted). Each counts whole chains, surviving copies
+	// included, so it is not bounded by VersionsReclaimed.
+	VersionsPooled  uint64
+	VersionsDropped uint64
 	// ClockBlockClaims counts GV7 allocator claims — one fetch of
 	// gv7BlockSize ticks each. Under GV4 it stays 0; under GV7,
 	// Commits/ClockBlockClaims approaches the block size when the
@@ -108,6 +113,7 @@ func (s Stats) Sub(t Stats) Stats {
 		VersionsAppended:  s.VersionsAppended - t.VersionsAppended,
 		VersionsReclaimed: s.VersionsReclaimed - t.VersionsReclaimed,
 		VersionsPooled:    s.VersionsPooled - t.VersionsPooled,
+		VersionsDropped:   s.VersionsDropped - t.VersionsDropped,
 		ClockBlockClaims:  s.ClockBlockClaims - t.ClockBlockClaims,
 		GCSweeps:          s.GCSweeps - t.GCSweeps,
 		GCSkips:           s.GCSkips - t.GCSkips,
@@ -117,8 +123,8 @@ func (s Stats) Sub(t Stats) Stats {
 }
 
 // statShard is one stripe of counters, padded out to its own cache lines
-// so stripes do not false-share: the kit's 10 shared counters plus 9
-// protocol counters is 19 words (152 bytes), padded to the next 128-byte
+// so stripes do not false-share: the kit's 10 shared counters plus 10
+// protocol counters is 20 words (160 bytes), padded to the next 128-byte
 // multiple.
 type statShard struct {
 	enginekit.Counters
@@ -127,11 +133,12 @@ type statShard struct {
 	appended         atomic.Uint64
 	reclaimed        atomic.Uint64
 	pooled           atomic.Uint64
+	dropped          atomic.Uint64
 	clockBlockClaims atomic.Uint64
 	gcSweeps         atomic.Uint64
 	gcSkips          atomic.Uint64
 	chainHWM         atomic.Uint64
-	_                [256 - 19*8]byte
+	_                [256 - 20*8]byte
 }
 
 // stat returns the descriptor's counter stripe.
@@ -160,6 +167,7 @@ func ReadStats() Stats {
 		s.VersionsAppended += sh.appended.Load()
 		s.VersionsReclaimed += sh.reclaimed.Load()
 		s.VersionsPooled += sh.pooled.Load()
+		s.VersionsDropped += sh.dropped.Load()
 		s.ClockBlockClaims += sh.clockBlockClaims.Load()
 		s.GCSweeps += sh.gcSweeps.Load()
 		s.GCSkips += sh.gcSkips.Load()

@@ -55,9 +55,6 @@ func SetAdmission(a budget.Admitter) { kit.SetAdmission(a) }
 // concurrently with running transactions (atomic pointer swap).
 func SetContentionProfiler(s *telemetry.Sketch) { kit.SetContentionProfiler(s) }
 
-// ContentionProfiler returns the installed sketch, or nil.
-func ContentionProfiler() *telemetry.Sketch { return kit.ContentionProfiler() }
-
 // Label names this Var in hot-Var contention reports (see
 // SetContentionProfiler). Unlabeled Vars report as var-<id>.
 func (v *Var[T]) Label(name string) { kit.Label(v.vid, name) }
